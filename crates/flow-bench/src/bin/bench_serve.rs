@@ -4,24 +4,37 @@
 //! argument) comparing three ways of answering the same query mix
 //! (several sources, many sinks each) against one synthetic ICM:
 //!
-//! * **naive** — one `FlowEstimator::estimate_flow` per query; every
-//!   query pays its own burn-in and its own retained samples;
-//! * **batched** — one `ServeEngine::execute_batch`; same-source
-//!   queries share a chain, so burn-in and per-sample reach-set costs
-//!   amortize across the group;
+//! * **naive** — one `FlowEstimator::estimate_flow` per query: the
+//!   paper-facing Metropolis–Hastings loop, where every query pays its
+//!   own burn-in and `m` thinning steps per retained sample;
+//! * **batched** — one `ServeEngine::execute_batch`. The mix has no
+//!   flow conditions, so the engine serves it from exact Eq. 3 draws
+//!   (one step per retained sample, no burn-in), and same-source
+//!   queries share one series of draws and its reach sets. The
+//!   speedup therefore compares exact draws against the MH loop;
 //! * **warm** — the identical batch again on the same engine; every
 //!   answer comes from the estimate cache.
 //!
 //! A fourth section prices the resilience layer on a clean run: the
 //! cold batch plus a cache save/load cycle with retry, breaker, and
-//! entry checksums disabled versus fully enabled (min of 2 reps each).
+//! entry checksums disabled versus fully enabled. A batch takes tens
+//! of milliseconds, where one rep varies by about 10% on a shared
+//! 2-vCPU guest, so the section runs [`RESILIENCE_PAIRS`] pairs of one
+//! bare and one resilient rep, back to back in alternating order, and
+//! reports the median of the per-pair overheads (and each side's
+//! median wall). The best-of-N of each side is not used: its minimum
+//! sits in a sparse, heavy lower tail and read +3.4% and +6.8% on runs
+//! whose paired median read +1.2%.
 //!
 //! A fifth section measures sharded serving on a multi-community
 //! workload: the same single-community query mix on an unsharded
-//! engine (chains walk the full `m`-edge multinomial) versus a
-//! `.shards(K)` engine (each query routes to its community's shard and
-//! walks `m/K` edges, shrinking burn-in and thinning linearly). The
-//! batched-throughput speedup is gated; the per-step `O(log m)` win is
+//! engine (every exact draw redraws all `m` edges) versus a
+//! `.shards(K)` engine (each query routes to its community's shard,
+//! whose draws redraw `m/K` edges, and the shard units serve their
+//! sub-batches concurrently). Each side is the best of [`SHARD_REPS`]
+//! interleaved reps on fresh engines (best-of-5 left a 2.7x fifth
+//! percentile against the perf ratchet's 2.6x floor). The
+//! batched-throughput speedup is gated; the per-step cost ratio is
 //! reported separately, ungated.
 //!
 //! Acceptance criteria (the binary exits non-zero when violated):
@@ -72,6 +85,11 @@ const COMMUNITY_EDGES: usize = 300;
 const COMMUNITY_SINKS: usize = 6;
 /// Retained samples per chain in the sharded section.
 const SHARD_SAMPLES: usize = 2_000;
+/// Bare/resilient rep pairs of the resilience section (median taken).
+const RESILIENCE_PAIRS: usize = 200;
+/// Interleaved fresh-engine reps per side of the sharded section (best
+/// taken).
+const SHARD_REPS: usize = 20;
 
 fn build_engine(config: ServeConfig) -> ServeEngine {
     match ServeEngine::builder().config(config).build() {
@@ -116,6 +134,12 @@ fn community_mix(icm: &Icm) -> Vec<FlowQuery> {
         }
     }
     queries
+}
+
+/// Upper median of a non-empty sample.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 fn naive_wall_s(icm: &Icm, queries: &[FlowQuery], config: McmcConfig) -> (f64, Vec<f64>) {
@@ -212,53 +236,68 @@ fn main() {
 
     eprintln!("[4/5] resilience overhead: retry+breaker+checksums off vs on ...");
     let dir = std::env::temp_dir().join(format!("bench-serve-resilience-{}", std::process::id()));
-    let run_with_resilience = |enabled: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            std::fs::remove_dir_all(&dir).ok();
-            let base = ServeConfig {
-                mcmc,
-                default_tolerance: 1.0,
-                engine_seed: 42,
-                ..Default::default()
-            };
-            let config = if enabled {
-                base
-            } else {
-                ServeConfig {
-                    executor: ExecutorConfig {
-                        retry: RetryPolicy::none(),
-                        admission_step_budget: 0,
-                        ..Default::default()
-                    },
-                    breaker: BreakerConfig::disabled(),
-                    ..base
-                }
-            };
-            let mut engine = build_engine(config);
-            let start = Instant::now();
-            let outcomes = engine.execute_batch(&icm, &queries);
-            let saved = engine.cache().save_to_dir_opts(&dir, enabled);
-            let loaded = saved.and_then(|()| ServeCache::load_from_dir(&dir, 8 << 20));
-            let elapsed = start.elapsed().as_secs_f64();
-            let all_answered = outcomes
-                .iter()
-                .all(|o| matches!(o, QueryOutcome::Answered(_)));
-            match loaded {
-                Ok(cache) if all_answered && cache.len() == engine.cache().len() => {}
-                _ => {
-                    eprintln!("error: resilience rep (enabled={enabled}) did not round-trip");
-                    std::process::exit(1);
-                }
+    let resilience_rep = |enabled: bool| -> f64 {
+        std::fs::remove_dir_all(&dir).ok();
+        let base = ServeConfig {
+            mcmc,
+            default_tolerance: 1.0,
+            engine_seed: 42,
+            ..Default::default()
+        };
+        let config = if enabled {
+            base
+        } else {
+            ServeConfig {
+                executor: ExecutorConfig {
+                    retry: RetryPolicy::none(),
+                    admission_step_budget: 0,
+                    ..Default::default()
+                },
+                breaker: BreakerConfig::disabled(),
+                ..base
             }
-            best = best.min(elapsed);
+        };
+        let mut engine = build_engine(config);
+        let start = Instant::now();
+        let outcomes = engine.execute_batch(&icm, &queries);
+        let saved = engine.cache().save_to_dir_opts(&dir, enabled);
+        let loaded = saved.and_then(|()| ServeCache::load_from_dir(&dir, 8 << 20));
+        let elapsed = start.elapsed().as_secs_f64();
+        let all_answered = outcomes
+            .iter()
+            .all(|o| matches!(o, QueryOutcome::Answered(_)));
+        match loaded {
+            Ok(cache) if all_answered && cache.len() == engine.cache().len() => elapsed,
+            _ => {
+                eprintln!("error: resilience rep (enabled={enabled}) did not round-trip");
+                std::process::exit(1);
+            }
         }
-        best
     };
-    let bare_s = run_with_resilience(false);
-    let resilient_s = run_with_resilience(true);
+    // Each pair runs both sides back to back, so both see the same
+    // machine state; the order alternates so neither always goes first.
+    let mut bare = Vec::with_capacity(RESILIENCE_PAIRS);
+    let mut resilient = Vec::with_capacity(RESILIENCE_PAIRS);
+    let mut bare_first = true;
+    for _ in 0..RESILIENCE_PAIRS {
+        if bare_first {
+            bare.push(resilience_rep(false));
+            resilient.push(resilience_rep(true));
+        } else {
+            resilient.push(resilience_rep(true));
+            bare.push(resilience_rep(false));
+        }
+        bare_first = !bare_first;
+    }
     std::fs::remove_dir_all(&dir).ok();
-    let overhead_pct = (resilient_s - bare_s) / bare_s * 100.0;
+    let mut overheads: Vec<f64> = bare
+        .iter()
+        .zip(&resilient)
+        .map(|(b, r)| (r - b) / b * 100.0)
+        .collect();
+    let overhead_pct = median(&mut overheads);
+    let bare_s = median(&mut bare);
+    let resilient_s = median(&mut resilient);
 
     eprintln!(
         "[5/5] sharded: {COMMUNITIES}-community mix, unsharded vs --shards {COMMUNITIES} ..."
@@ -276,15 +315,20 @@ fn main() {
         ..Default::default()
     };
 
-    let mut flat = build_engine(shard_config(1));
-    let start = Instant::now();
-    let flat_outcomes = flat.execute_batch(&community_icm, &shard_queries);
-    let flat_s = start.elapsed().as_secs_f64();
-
-    let mut sharded = build_engine(shard_config(COMMUNITIES));
-    let start = Instant::now();
-    let sharded_outcomes = sharded.execute_batch(&community_icm, &shard_queries);
-    let sharded_s = start.elapsed().as_secs_f64();
+    // Every rep serves the same seeded batch on a fresh engine, so the
+    // answers are identical across reps; the first rep's are checked.
+    let timed_rep = |shards: u32| {
+        let mut engine = build_engine(shard_config(shards));
+        let start = Instant::now();
+        let outcomes = engine.execute_batch(&community_icm, &shard_queries);
+        (start.elapsed().as_secs_f64(), engine, outcomes)
+    };
+    let (mut flat_s, flat, flat_outcomes) = timed_rep(1);
+    let (mut sharded_s, sharded, sharded_outcomes) = timed_rep(COMMUNITIES);
+    for _ in 1..SHARD_REPS {
+        flat_s = flat_s.min(timed_rep(1).0);
+        sharded_s = sharded_s.min(timed_rep(COMMUNITIES).0);
+    }
 
     // Same questions, same distribution: chains differ (shard slots
     // enter the chain keys), so the answers are independent draws that
@@ -319,8 +363,9 @@ fn main() {
     let sharded_steps = sharded.stats().steps;
     let shard_n = shard_queries.len() as f64;
     let shard_speedup = flat_s / sharded_s;
-    // The sub-multinomial's O(log m) per-proposal win, separated from
-    // the (dominant) linear shrink in burn-in and thinning steps.
+    // Wall time per chain step on each path. An exact draw redraws
+    // every edge of its (sub-)model, so this tracks the edge-count
+    // shrink, separated from the step counts themselves.
     let per_step_ns_flat = flat_s / flat_steps.max(1) as f64 * 1e9;
     let per_step_ns_sharded = sharded_s / sharded_steps.max(1) as f64 * 1e9;
 
@@ -338,7 +383,7 @@ fn main() {
         .replace('\n', "\n  ");
 
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"schema\": \"{schema}\",\n  \"model_edges\": {me},\n  \"queries\": {q},\n  \"samples_per_chain\": {sp},\n  \"naive\": {{\n    \"wall_s\": {ns:.3},\n    \"qps\": {nq:.1}\n  }},\n  \"batched\": {{\n    \"wall_s\": {bs:.3},\n    \"qps\": {bq:.1},\n    \"speedup_vs_naive\": {su:.2},\n    \"required_speedup\": 2.0\n  }},\n  \"warm_cache\": {{\n    \"wall_s\": {ws:.4},\n    \"qps\": {wq:.1},\n    \"cache_hits\": {wh},\n    \"sampler_steps\": {wst}\n  }},\n  \"resilience\": {{\n    \"bare_wall_s\": {rb:.3},\n    \"resilient_wall_s\": {rr:.3},\n    \"overhead_pct\": {ro:.2},\n    \"budget_pct\": 5.0\n  }},\n  \"sharded\": {{\n    \"communities\": {sc},\n    \"model_edges\": {sme},\n    \"queries\": {sq},\n    \"samples_per_chain\": {ssp},\n    \"routed\": {srt},\n    \"unsharded_wall_s\": {sfs:.3},\n    \"unsharded_qps\": {sfq:.1},\n    \"unsharded_steps\": {sfst},\n    \"sharded_wall_s\": {sss:.3},\n    \"sharded_qps\": {ssq:.1},\n    \"sharded_steps\": {ssst},\n    \"speedup_vs_unsharded\": {ssu:.2},\n    \"required_speedup\": 2.0,\n    \"per_step_ns_unsharded\": {spf:.1},\n    \"per_step_ns_sharded\": {sps:.1},\n    \"per_step_speedup\": {spw:.2},\n    \"max_abs_disagreement\": {sdg:.4}\n  }},\n  \"runtime_stats\": {rs},\n  \"pass\": {pass}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"schema\": \"{schema}\",\n  \"model_edges\": {me},\n  \"queries\": {q},\n  \"samples_per_chain\": {sp},\n  \"naive\": {{\n    \"wall_s\": {ns:.3},\n    \"qps\": {nq:.1}\n  }},\n  \"batched\": {{\n    \"wall_s\": {bs:.3},\n    \"qps\": {bq:.1},\n    \"speedup_vs_naive\": {su:.2},\n    \"required_speedup\": 2.0\n  }},\n  \"warm_cache\": {{\n    \"wall_s\": {ws:.4},\n    \"qps\": {wq:.1},\n    \"cache_hits\": {wh},\n    \"sampler_steps\": {wst}\n  }},\n  \"resilience\": {{\n    \"pairs\": {rp},\n    \"bare_wall_s\": {rb:.4},\n    \"resilient_wall_s\": {rr:.4},\n    \"overhead_pct\": {ro:.2},\n    \"budget_pct\": 5.0\n  }},\n  \"sharded\": {{\n    \"communities\": {sc},\n    \"model_edges\": {sme},\n    \"queries\": {sq},\n    \"samples_per_chain\": {ssp},\n    \"routed\": {srt},\n    \"unsharded_wall_s\": {sfs:.3},\n    \"unsharded_qps\": {sfq:.1},\n    \"unsharded_steps\": {sfst},\n    \"sharded_wall_s\": {sss:.3},\n    \"sharded_qps\": {ssq:.1},\n    \"sharded_steps\": {ssst},\n    \"speedup_vs_unsharded\": {ssu:.2},\n    \"required_speedup\": 2.0,\n    \"per_step_ns_unsharded\": {spf:.1},\n    \"per_step_ns_sharded\": {sps:.1},\n    \"per_step_speedup\": {spw:.2},\n    \"max_abs_disagreement\": {sdg:.4}\n  }},\n  \"runtime_stats\": {rs},\n  \"pass\": {pass}\n}}\n",
         schema = flow_core::schema::BENCH_SERVE.tag(),
         me = MODEL_EDGES,
         rs = stats_embedded,
@@ -353,6 +398,7 @@ fn main() {
         wq = warm_qps,
         wh = warm_hits,
         wst = warm_steps,
+        rp = RESILIENCE_PAIRS,
         rb = bare_s,
         rr = resilient_s,
         ro = overhead_pct,

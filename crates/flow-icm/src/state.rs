@@ -54,6 +54,19 @@ impl PseudoState {
         PseudoState { bits }
     }
 
+    /// Redraws every edge from Eq. 3 in place: the same draw as
+    /// [`Self::sample`] from the same RNG state (one uniform per edge,
+    /// in edge order), without allocating and without a data-dependent
+    /// branch per edge. A state sized for another model is first
+    /// resized to it.
+    pub fn resample<R: Rng + ?Sized>(&mut self, icm: &Icm, rng: &mut R) {
+        if self.bits.len() != icm.edge_count() {
+            self.bits = BitSet::new(icm.edge_count());
+        }
+        self.bits
+            .assign_from(icm.probabilities().iter().map(|&p| rng.random::<f64>() < p));
+    }
+
     /// Number of edges the state covers.
     pub fn edge_count(&self) -> usize {
         self.bits.len()
@@ -384,6 +397,30 @@ mod tests {
             (f_pseudo - exact).abs() < 0.01,
             "pseudo {f_pseudo} vs {exact}"
         );
+    }
+
+    #[test]
+    fn resample_matches_sample_bits_and_rng_state() {
+        // 150 edges span three words, the last one partial.
+        let mut graph_rng = StdRng::seed_from_u64(40);
+        let g = flow_graph::generate::uniform_edges(&mut graph_rng, 30, 150);
+        let probs = (0..g.edge_count())
+            .map(|i| (i % 11) as f64 / 10.0)
+            .collect();
+        let icm = Icm::new(g, probs);
+        let mut a = StdRng::seed_from_u64(41);
+        let mut b = StdRng::seed_from_u64(41);
+        let mut x = PseudoState::all_active(icm.edge_count());
+        for _ in 0..5 {
+            let want = PseudoState::sample(&icm, &mut a);
+            x.resample(&icm, &mut b);
+            assert_eq!(x, want);
+            assert_eq!(a.state(), b.state());
+        }
+        // A state sized for another model is resized, then redrawn.
+        let mut small = PseudoState::all_active(3);
+        small.resample(&icm, &mut b);
+        assert_eq!(small, PseudoState::sample(&icm, &mut a));
     }
 
     #[test]

@@ -169,6 +169,7 @@ impl ChainCheckpoint {
             match self.proposal {
                 ProposalKind::ResultingActivity => "resulting",
                 ProposalKind::CurrentActivity => "current",
+                ProposalKind::Independent => "independent",
             }
         ));
         out.push_str(&format!("steps={}\n", self.steps));
@@ -220,6 +221,7 @@ impl ChainCheckpoint {
                     proposal = Some(match value {
                         "resulting" => ProposalKind::ResultingActivity,
                         "current" => ProposalKind::CurrentActivity,
+                        "independent" => ProposalKind::Independent,
                         other => return Err(corrupt(format!("unknown proposal kind {other:?}"))),
                     })
                 }
@@ -399,6 +401,24 @@ mod tests {
         let ckpt = ChainCheckpoint::capture(&mut sampler, &rng);
         let parsed = ChainCheckpoint::from_text(&ckpt.to_text()).unwrap();
         assert_eq!(parsed, ckpt);
+    }
+
+    #[test]
+    fn independent_chain_checkpoint_round_trips_and_resumes() {
+        let icm = diamond_icm();
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut sampler = PseudoStateSampler::new(&icm, ProposalKind::Independent, &mut rng);
+        sampler.run(50, &mut rng);
+        let ckpt = ChainCheckpoint::capture(&mut sampler, &rng);
+        assert!(ckpt.to_text().contains("proposal=independent\n"));
+        let parsed = ChainCheckpoint::from_text(&ckpt.to_text()).unwrap();
+        assert_eq!(parsed, ckpt);
+        let (mut resumed, mut rng2) = parsed.restore(&icm).unwrap();
+        for _ in 0..50 {
+            sampler.step(&mut rng);
+            resumed.step(&mut rng2);
+            assert_eq!(resumed.state(), sampler.state());
+        }
     }
 
     #[test]

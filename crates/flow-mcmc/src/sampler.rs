@@ -29,6 +29,17 @@
 //! so sampling an edge, reading `Z`, and updating the flipped edge's
 //! weight are all `O(log m)` — the paper's "search tree".
 //!
+//! ## Exact draws
+//!
+//! Without conditions Eq. 3 factorizes over edges, so a state can be
+//! drawn exactly. [`ProposalKind::Independent`] is the independence
+//! kernel built on that: every step redraws all `m` edges from Eq. 3
+//! in place ([`PseudoState::resample`]). Its proposal is the marginal
+//! target itself, so the MH ratio reduces to the condition indicator:
+//! the step always accepts without conditions (consecutive states are
+//! independent exact draws, no burn-in or thinning needed) and accepts
+//! exactly when the conditions hold otherwise.
+//!
 //! ## Conditions
 //!
 //! Flow conditions multiply the target by the indicator `I(x, C)`
@@ -60,6 +71,10 @@ pub enum ProposalKind {
     /// inactive edge, `p` for an active one (the convention of the
     /// paper's printed `q_ratio` formula).
     CurrentActivity,
+    /// No single-edge flip: every step redraws all edges from Eq. 3
+    /// (see the module docs' "Exact draws"). Unconditioned serving
+    /// queries run on this kernel with no burn-in and a thinning of 1.
+    Independent,
 }
 
 impl ProposalKind {
@@ -82,6 +97,8 @@ impl ProposalKind {
                     1.0 - p
                 }
             }
+            // The independence kernel never samples the tree.
+            ProposalKind::Independent => 0.0,
         }
     }
 }
@@ -162,6 +179,10 @@ pub struct PseudoStateSampler<'a> {
     tree: WeightTree,
     kind: ProposalKind,
     conditions: Vec<FlowCondition>,
+    /// The independence kernel's proposed state under conditions, kept
+    /// so a rejected draw leaves `state` untouched; sized by its first
+    /// redraw.
+    proposed: PseudoState,
     scratch: BfsScratch,
     steps: u64,
     accepted: u64,
@@ -244,6 +265,7 @@ impl<'a> PseudoStateSampler<'a> {
             tree: WeightTree::new(&weights),
             kind,
             conditions,
+            proposed: PseudoState::all_inactive(0),
             steps: 0,
             accepted: 0,
             updates_since_rebuild: 0,
@@ -363,7 +385,8 @@ impl<'a> PseudoStateSampler<'a> {
     const LAZINESS: f64 = 0.05;
 
     /// Performs one chain update (Algorithm 1, plus a 5% lazy
-    /// self-loop for aperiodicity — see [`Self::step`]'s source note).
+    /// self-loop for aperiodicity — see [`Self::step`]'s source note;
+    /// or one exact redraw for [`ProposalKind::Independent`]).
     /// Returns `true` if the proposal was accepted (the state changed).
     ///
     /// Panics if the update hits a numerical fault; use
@@ -393,6 +416,11 @@ impl<'a> PseudoStateSampler<'a> {
                 acceptance_rate: self.acceptance_rate(),
             });
         }
+        let current_activity = match self.kind {
+            ProposalKind::ResultingActivity => false,
+            ProposalKind::CurrentActivity => true,
+            ProposalKind::Independent => return Ok(self.independent_step(rng)),
+        };
         if rng.random::<f64>() < Self::LAZINESS {
             self.pending.lazy_loops += 1;
             return Ok(false);
@@ -411,18 +439,17 @@ impl<'a> PseudoStateSampler<'a> {
         let w_new = self.kind.weight(p, !was_active);
         let z_new = z - self.tree.get(i) + w_new;
 
-        let accept_prob = match self.kind {
-            // A = min(Z / Z', 1); see module docs for the derivation.
-            ProposalKind::ResultingActivity => z / z_new,
+        let accept_prob = if current_activity {
             // A = min(r^2 * Z / Z', 1) with r the state-probability ratio.
-            ProposalKind::CurrentActivity => {
-                let r = if was_active {
-                    (1.0 - p) / p
-                } else {
-                    p / (1.0 - p)
-                };
-                r * r * z / z_new
-            }
+            let r = if was_active {
+                (1.0 - p) / p
+            } else {
+                p / (1.0 - p)
+            };
+            r * r * z / z_new
+        } else {
+            // A = min(Z / Z', 1); see module docs for the derivation.
+            z / z_new
         };
         let accept_prob = fault::poison("sampler.acceptance", accept_prob);
         // +inf is legitimate (flip away from a zero-weight
@@ -452,8 +479,8 @@ impl<'a> PseudoStateSampler<'a> {
         // violation → certain rejection).
         if !self.conditions.is_empty() {
             self.state.flip(e);
-            let ok = self.conditions_hold_scratch();
-            if !ok {
+            let graph = self.icm.graph();
+            if !conditions_hold_in(&mut self.scratch, graph, &self.state, &self.conditions) {
                 self.state.flip(e);
                 self.pending.condition_rejects += 1;
                 return Ok(false);
@@ -484,6 +511,27 @@ impl<'a> PseudoStateSampler<'a> {
             self.tree.total()
         );
         Ok(true)
+    }
+
+    /// One step of the independence kernel: propose a fresh Eq. 3 draw
+    /// of every edge. The proposal is the marginal target, so the MH
+    /// ratio is the condition indicator alone — accept always without
+    /// conditions, otherwise exactly when the draw satisfies them.
+    fn independent_step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        if self.conditions.is_empty() {
+            self.state.resample(self.icm, rng);
+        } else {
+            self.proposed.resample(self.icm, rng);
+            let graph = self.icm.graph();
+            if !conditions_hold_in(&mut self.scratch, graph, &self.proposed, &self.conditions) {
+                self.pending.condition_rejects += 1;
+                return false;
+            }
+            std::mem::swap(&mut self.state, &mut self.proposed);
+        }
+        self.accepted += 1;
+        self.pending.accepts += 1;
+        true
     }
 
     /// Performs `n` chain updates.
@@ -531,16 +579,18 @@ impl<'a> PseudoStateSampler<'a> {
         self.scratch
             .reach_set(self.icm.graph(), sources, |e| state.is_active(e))
     }
+}
 
-    fn conditions_hold_scratch(&mut self) -> bool {
-        let state = &self.state;
-        let graph = self.icm.graph();
-        self.conditions.iter().all(|c| {
-            self.scratch
-                .is_reachable(graph, c.source, c.sink, |e| state.is_active(e))
-                == c.required
-        })
-    }
+/// [`conditions_hold`] over a reusable BFS scratch.
+fn conditions_hold_in(
+    scratch: &mut BfsScratch,
+    graph: &flow_graph::DiGraph,
+    state: &PseudoState,
+    conditions: &[FlowCondition],
+) -> bool {
+    conditions.iter().all(|c| {
+        scratch.is_reachable(graph, c.source, c.sink, |e| state.is_active(e)) == c.required
+    })
 }
 
 /// Activates the edges of one randomized path from `source` to `sink`
@@ -638,6 +688,74 @@ mod tests {
     #[test]
     fn stationary_distribution_current_activity() {
         check_stationary_distribution(ProposalKind::CurrentActivity, 102);
+    }
+
+    #[test]
+    fn stationary_distribution_independent() {
+        check_stationary_distribution(ProposalKind::Independent, 103);
+    }
+
+    #[test]
+    fn independent_chain_matches_enumeration_and_always_accepts() {
+        let icm = diamond_icm();
+        let exact = enumerate_flow_probability(&icm, NodeId(0), NodeId(3));
+        let mut rng = StdRng::seed_from_u64(210);
+        let mut sampler = PseudoStateSampler::new(&icm, ProposalKind::Independent, &mut rng);
+        let kept = 40_000;
+        let mut hits = 0;
+        for _ in 0..kept {
+            sampler.run(1, &mut rng);
+            if sampler.carries_flow(NodeId(0), NodeId(3)) {
+                hits += 1;
+            }
+        }
+        let got = hits as f64 / kept as f64;
+        assert!((got - exact).abs() < 0.01, "got {got}, exact {exact}");
+        assert_eq!(sampler.steps(), kept as u64);
+        assert_eq!(sampler.accepted(), sampler.steps());
+        assert_eq!(sampler.acceptance_rate(), 1.0);
+    }
+
+    #[test]
+    fn independent_chain_matches_conditional_enumeration() {
+        let icm = diamond_icm();
+        let graph = icm.graph().clone();
+        let conditions = vec![
+            FlowCondition::requires(NodeId(0), NodeId(1)),
+            FlowCondition::forbids(NodeId(0), NodeId(2)),
+        ];
+        let exact = enumerate_conditional_probability(
+            &icm,
+            |x| x.carries_flow(&graph, NodeId(0), NodeId(3)),
+            |x| {
+                x.carries_flow(&graph, NodeId(0), NodeId(1))
+                    && !x.carries_flow(&graph, NodeId(0), NodeId(2))
+            },
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(310);
+        let mut sampler = PseudoStateSampler::with_conditions(
+            &icm,
+            ProposalKind::Independent,
+            conditions.clone(),
+            &mut rng,
+        )
+        .unwrap();
+        sampler.run(100, &mut rng);
+        let kept = 40_000;
+        let mut hits = 0;
+        for _ in 0..kept {
+            sampler.run(2, &mut rng);
+            assert!(conditions_hold(&graph, sampler.state(), &conditions));
+            if sampler.carries_flow(NodeId(0), NodeId(3)) {
+                hits += 1;
+            }
+        }
+        let got = hits as f64 / kept as f64;
+        assert!((got - exact).abs() < 0.012, "got {got}, exact {exact}");
+        // Draws that violate a condition are rejected, never kept.
+        let rate = sampler.acceptance_rate();
+        assert!(rate > 0.0 && rate < 1.0, "rate {rate}");
     }
 
     #[test]

@@ -342,6 +342,14 @@ struct Sharding {
     merged: Vec<(Vec<u32>, ShardUnit)>,
 }
 
+/// Where a routed group runs: a per-shard unit or a merged unit,
+/// indexed into [`Sharding::units`] / [`Sharding::merged`].
+#[derive(Clone, Copy)]
+enum UnitSlot {
+    Shard(usize),
+    Merged(usize),
+}
+
 /// Shard slot for a merged cross-shard unit: a pure function of the
 /// member set (so chain seeds stay batch-order independent) offset
 /// into the high half of the slot space, where it can never collide
@@ -600,12 +608,17 @@ impl ServeEngine {
         if self.config.shards > 1 {
             self.execute_batch_sharded(icm, queries)
         } else {
+            // Opened here rather than in the local path: a sharded
+            // router's units run that path concurrently, and an
+            // untraced span from several threads would reorder the
+            // deterministic trace.
+            let _batch = flow_obs::span("serve.batch");
             self.execute_batch_local(icm, queries)
         }
     }
 
-    /// The sharded router: route, scatter per-unit sub-batches, gather
-    /// outcomes back into submission order.
+    /// The sharded router: route, scatter per-unit sub-batches across
+    /// threads, gather outcomes back into submission order.
     fn execute_batch_sharded(&mut self, icm: &Icm, queries: &[FlowQuery]) -> Vec<QueryOutcome> {
         let _batch = flow_obs::span("serve.batch.sharded");
         if let Err(e) = self.ensure_sharding(icm) {
@@ -659,29 +672,97 @@ impl ServeEngine {
 
         // Scatter: each routed group runs on its unit's child engine
         // over the projected sub-model (node ids are preserved, so the
-        // queries need no translation). Group order is the BTreeMap's
-        // set order — deterministic — and every chain seed is a pure
-        // function of (engine seed, canonical key), so batch
-        // composition cannot change any answer.
+        // queries need no translation). Every group is resolved to its
+        // unit first — merged units materialize here — and then each
+        // unit serves its sub-batch on a scoped thread while this
+        // thread serves the global remainder. Every chain seed is a
+        // pure function of (engine seed, canonical key) and units
+        // share no state, so concurrency cannot change any answer;
+        // stats and outcomes are absorbed in group order (the
+        // BTreeMap's set order).
+        let mut jobs: Vec<(UnitSlot, Vec<usize>)> = Vec::with_capacity(groups.len());
         for (set, idxs) in groups {
-            let unit = if let [s] = set.as_slice() {
-                &mut sharding.units[*s as usize]
+            let slot = if let [s] = set.as_slice() {
+                UnitSlot::Shard(*s as usize)
             } else {
                 match sharding.merged_index(icm, set, &self.config) {
-                    Ok(ix) => &mut sharding.merged[ix].1,
+                    Ok(ix) => UnitSlot::Merged(ix),
+                    // Unprojectable union (cannot happen for a
+                    // well-formed partition): global fallback.
                     Err(_) => {
-                        // Unprojectable union (cannot happen for a
-                        // well-formed partition): global fallback.
                         global.extend(idxs);
                         continue;
                     }
                 }
             };
-            let sub_queries: Vec<FlowQuery> = idxs.iter().map(|&i| queries[i].clone()).collect();
-            let before = unit.engine.stats;
-            let sub_outcomes = unit.engine.execute_batch(unit.sub.icm(), &sub_queries);
-            let after = unit.engine.stats;
+            jobs.push((slot, idxs));
+        }
+        global.sort_unstable();
+        let mut shard_units: Vec<Option<&mut ShardUnit>> =
+            sharding.units.iter_mut().map(Some).collect();
+        let mut merged_units: Vec<Option<&mut ShardUnit>> =
+            sharding.merged.iter_mut().map(|(_, u)| Some(u)).collect();
+        let work: Vec<(Option<&mut ShardUnit>, &[usize])> = jobs
+            .iter()
+            .map(|(slot, idxs)| {
+                let unit = match *slot {
+                    UnitSlot::Shard(s) => shard_units.get_mut(s).and_then(Option::take),
+                    UnitSlot::Merged(ix) => merged_units.get_mut(ix).and_then(Option::take),
+                };
+                (unit, idxs.as_slice())
+            })
+            .collect();
+        let recorder = flow_obs::current_recorder();
+        let (unit_results, global_outcomes) = std::thread::scope(|scope| {
+            let handles: Vec<_> = work
+                .into_iter()
+                .map(|(unit, idxs)| {
+                    let recorder = recorder.clone();
+                    scope.spawn(move || {
+                        let _guard = recorder.map(flow_obs::ScopedRecorder::install);
+                        let unit = unit?;
+                        let sub_queries: Vec<FlowQuery> =
+                            idxs.iter().map(|&i| queries[i].clone()).collect();
+                        let before = unit.engine.stats;
+                        // The local path directly: a child engine's
+                        // untraced `serve.batch` span would interleave
+                        // across unit threads.
+                        let outcomes = unit
+                            .engine
+                            .execute_batch_local(unit.sub.icm(), &sub_queries);
+                        Some((before, unit.engine.stats, outcomes))
+                    })
+                })
+                .collect();
+            // The global remainder runs on the local path (its own
+            // stats accounting) beside the units.
+            let global_outcomes = if global.is_empty() {
+                Vec::new()
+            } else {
+                let global_queries: Vec<FlowQuery> =
+                    global.iter().map(|&i| queries[i].clone()).collect();
+                self.execute_batch_local(icm, &global_queries)
+            };
+            let unit_results: Vec<_> = handles
+                .into_iter()
+                .map(|h| h.join().ok().flatten())
+                .collect();
+            (unit_results, global_outcomes)
+        });
+        for ((_, idxs), result) in jobs.iter().zip(unit_results) {
             self.stats.queries += idxs.len() as u64;
+            let Some((before, after, sub_outcomes)) = result else {
+                // A unit that could not run answers nothing; its
+                // queries fail typed instead of vanishing.
+                for &i in idxs {
+                    let outcome = QueryOutcome::Failed(FlowError::Io {
+                        detail: "shard unit did not complete its sub-batch".into(),
+                    });
+                    self.absorb_outcome(&outcome);
+                    outcomes[i] = Some(outcome);
+                }
+                continue;
+            };
             self.stats.plans += after.plans - before.plans;
             self.stats.steps += after.steps - before.steps;
             self.stats.retries += after.retries - before.retries;
@@ -692,17 +773,8 @@ impl ServeEngine {
             }
         }
         self.sharding = Some(sharding);
-
-        // Gather the global remainder on the local path (its own stats
-        // accounting), preserving submission order.
-        if !global.is_empty() {
-            global.sort_unstable();
-            let global_queries: Vec<FlowQuery> =
-                global.iter().map(|&i| queries[i].clone()).collect();
-            let global_outcomes = self.execute_batch_local(icm, &global_queries);
-            for (&i, outcome) in global.iter().zip(global_outcomes) {
-                outcomes[i] = Some(outcome);
-            }
+        for (&i, outcome) in global.iter().zip(global_outcomes) {
+            outcomes[i] = Some(outcome);
         }
 
         outcomes
@@ -739,7 +811,6 @@ impl ServeEngine {
     /// The unsharded serving path (and the sharded router's global
     /// fallback).
     fn execute_batch_local(&mut self, icm: &Icm, queries: &[FlowQuery]) -> Vec<QueryOutcome> {
-        let _batch = flow_obs::span("serve.batch");
         self.stats.queries += queries.len() as u64;
         let mut planner = self.config.planner();
         planner.shard = self.shard_slot;

@@ -17,12 +17,15 @@
 //! immediately. Each retry emits a `serve.retry` event, each shed plan
 //! a `serve.shed` event.
 //!
-//! Workers are scoped threads. Each one re-installs the submitting
-//! thread's `flow-obs` recorder (via [`flow_obs::current_recorder`]),
-//! so telemetry from worker threads lands in the caller's sink — a
-//! test's `MemorySink` included. The queue depth is exported as the
-//! `serve.queue.depth` gauge, and every plan runs under a
-//! `serve.plan` span with start/finish events carrying the plan id.
+//! The calling thread drains the queue itself, beside
+//! `min(workers, admitted) − 1` scoped helper threads, so a batch
+//! with zero or one admitted plan spawns no thread at all. Each helper
+//! re-installs the submitting thread's `flow-obs` recorder (via
+//! [`flow_obs::current_recorder`]), so telemetry from helper threads
+//! lands in the caller's sink — a test's `MemorySink` included. The
+//! queue depth is exported as the `serve.queue.depth` gauge, and every
+//! plan runs under its own trace and a `serve.plan` span with
+//! start/finish events carrying the plan id, whichever thread runs it.
 
 use crate::plan::Plan;
 use flow_core::{fault, FlowError, FlowResult};
@@ -209,58 +212,53 @@ pub fn run_plans_report(
     }
     flow_obs::gauge("serve.queue.depth", queue.len() as f64);
 
-    let workers = config.workers.max(1).min(queue.len().max(1));
+    let helpers = config.workers.max(1).min(queue.len()).saturating_sub(1);
     let retry = config.retry;
     let retries = AtomicU64::new(0);
     let queue = Mutex::new(queue);
     let slots = Mutex::new(&mut results);
-    let recorder = flow_obs::current_recorder();
+    let drain = || loop {
+        let (plan, depth) = {
+            let mut q = lock(&queue);
+            let plan = q.pop_front();
+            (plan, q.len())
+        };
+        let Some(plan) = plan else { break };
+        flow_obs::gauge("serve.queue.depth", depth as f64);
+        // Everything this plan does — start/finish markers, retries,
+        // chain spans inside shared_chain_flows — records under its
+        // primary trace, which also gives the deterministic JSONL sink
+        // a single-writer stream per plan.
+        let _t = TraceContext::enter(plan.trace());
+        flow_obs::event(|| flow_obs::Event::new("serve.plan.start").u64("plan", plan.id as u64));
+        let status = execute_with_retry(icm, plan, &retry, &retries);
+        flow_obs::event(|| {
+            let e = flow_obs::Event::new("serve.plan.finish").u64("plan", plan.id as u64);
+            match &status {
+                PlanStatus::Completed(out) => e
+                    .u64("samples", out.samples_done as u64)
+                    .u64("steps", out.steps)
+                    .u64("degraded", out.degradation.len() as u64),
+                PlanStatus::Failed(err) => e.str("error", err.to_string()),
+                PlanStatus::Rejected(err) => e.str("error", err.to_string()),
+            }
+        });
+        let mut s = lock(&slots);
+        if let Some(slot) = s.get_mut(plan.id) {
+            *slot = Some(status);
+        }
+    };
 
+    let recorder = flow_obs::current_recorder();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let retries = &retries;
+        for _ in 0..helpers {
             let recorder = recorder.clone();
             scope.spawn(move || {
                 let _guard = recorder.map(ScopedRecorder::install);
-                loop {
-                    let (plan, depth) = {
-                        let mut q = lock(queue);
-                        let plan = q.pop_front();
-                        (plan, q.len())
-                    };
-                    let Some(plan) = plan else { break };
-                    flow_obs::gauge("serve.queue.depth", depth as f64);
-                    // Everything this plan does — start/finish markers,
-                    // retries, chain spans inside shared_chain_flows —
-                    // records under its primary trace, which also gives
-                    // the deterministic JSONL sink a single-writer
-                    // stream per plan.
-                    let _t = TraceContext::enter(plan.trace());
-                    flow_obs::event(|| {
-                        flow_obs::Event::new("serve.plan.start").u64("plan", plan.id as u64)
-                    });
-                    let status = execute_with_retry(icm, plan, &retry, retries);
-                    flow_obs::event(|| {
-                        let e =
-                            flow_obs::Event::new("serve.plan.finish").u64("plan", plan.id as u64);
-                        match &status {
-                            PlanStatus::Completed(out) => e
-                                .u64("samples", out.samples_done as u64)
-                                .u64("steps", out.steps)
-                                .u64("degraded", out.degradation.len() as u64),
-                            PlanStatus::Failed(err) => e.str("error", err.to_string()),
-                            PlanStatus::Rejected(err) => e.str("error", err.to_string()),
-                        }
-                    });
-                    let mut s = lock(slots);
-                    if let Some(slot) = s.get_mut(plan.id) {
-                        *slot = Some(status);
-                    }
-                }
+                drain();
             });
         }
+        drain();
     });
 
     report.retries = retries.load(Ordering::Relaxed);
@@ -457,6 +455,43 @@ mod tests {
         };
         let schedule: Vec<u64> = (1..=5).map(|a| retry.backoff_ms(a)).collect();
         assert_eq!(schedule, vec![4, 8, 16, 20, 20]);
+    }
+
+    /// Records which thread emitted each plan event.
+    #[derive(Default)]
+    struct ThreadLog(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+    impl flow_obs::Recorder for ThreadLog {
+        fn event(&self, event: &flow_obs::Event) {
+            if event.name == "serve.plan.finish" {
+                lock(&self.0).push(std::thread::current().id());
+            }
+        }
+    }
+
+    #[test]
+    fn calls_with_at_most_one_plan_spawn_no_thread() {
+        let model = icm();
+        let log = Arc::new(ThreadLog::default());
+        let run = |sources: u32| {
+            let queries: Vec<FlowQuery> = (0..sources)
+                .map(|s| FlowQuery::flow(NodeId(s), NodeId(4)))
+                .collect();
+            let batch = plan_batch(&model, &mut ServeCache::new(1 << 20), &cfg(), &queries);
+            assert_eq!(batch.plans.len(), sources as usize);
+            let _r = ScopedRecorder::install(log.clone());
+            let statuses = run_plans(&model, &batch.plans, &ExecutorConfig::default());
+            assert!(statuses
+                .iter()
+                .all(|s| matches!(s, PlanStatus::Completed(_))));
+        };
+        run(0);
+        run(1);
+        let caller = std::thread::current().id();
+        assert_eq!(*lock(&log.0), vec![caller]);
+        // Several plans still all finish, the caller taking its share.
+        run(4);
+        assert_eq!(lock(&log.0).len(), 5);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! * the *resolved* chain configuration ([`ConfigClass`]): burn-in,
 //!   thinning, and proposal convention after edge-count defaults are
 //!   applied — two configs that resolve identically are the same class
-//!   (sample counts are per-request precision knobs, not identity);
+//!   (sample counts are per-request precision knobs, not identity).
+//!   A key without conditions always resolves to [`ConfigClass::EXACT`]
+//!   (exact Eq. 3 draws: no burn-in, every draw retained), because its
+//!   target factorizes over edges; only conditioned keys take the
+//!   configured Metropolis–Hastings class (§III-D);
 //! * a [`model_fingerprint`] over the ICM's shape and exact edge
 //!   probability bits, versioning every entry: retrain the model and
 //!   the old cache population silently misses instead of serving stale
@@ -54,6 +58,15 @@ pub struct ConfigClass {
 }
 
 impl ConfigClass {
+    /// The class of every key without conditions: the independence
+    /// kernel, whose every step is an exact draw from Eq. 3, so no
+    /// burn-in is needed and each step is retained.
+    pub const EXACT: ConfigClass = ConfigClass {
+        burn_in: 0,
+        thin: 1,
+        proposal: ProposalKind::Independent,
+    };
+
     /// Resolves a config against a model with `m` edges.
     pub fn of(config: &McmcConfig, m: usize) -> Self {
         ConfigClass {
@@ -78,6 +91,7 @@ impl ConfigClass {
         match self.proposal {
             ProposalKind::ResultingActivity => 0,
             ProposalKind::CurrentActivity => 1,
+            ProposalKind::Independent => 2,
         }
     }
 
@@ -113,6 +127,9 @@ impl QueryKey {
     /// mapped to [`FlowError::GraphInconsistency`] when the condition
     /// set is directly contradictory — the planner surfaces this as a
     /// typed per-query failure *before* any sampling happens.
+    ///
+    /// A query without conditions resolves to [`ConfigClass::EXACT`]
+    /// whatever `config` says; a conditioned one to `config`'s class.
     pub fn canonical(
         source: NodeId,
         target: &SharedTarget,
@@ -135,11 +152,16 @@ impl QueryKey {
                 SharedTarget::Community(sorted)
             }
         };
+        let config = if conditions.is_empty() {
+            ConfigClass::EXACT
+        } else {
+            ConfigClass::of(config, icm.edge_count())
+        };
         Ok(QueryKey {
             source,
             target,
             conditions,
-            config: ConfigClass::of(config, icm.edge_count()),
+            config,
             fingerprint: model_fingerprint(icm),
             shard: 0,
         })
@@ -288,6 +310,7 @@ impl QueryKey {
         let proposal = match parse_u64("prop", get("prop")?)? {
             0 => ProposalKind::ResultingActivity,
             1 => ProposalKind::CurrentActivity,
+            2 => ProposalKind::Independent,
             other => return Err(corrupt(format!("unknown proposal tag {other}"))),
         };
         // Lenient on a missing shard field (pre-v3 keys default to the
@@ -410,6 +433,7 @@ mod tests {
             assert_eq!(&parsed, k);
             assert_eq!(parsed.hash64(), k.hash64());
         }
+        assert!(keys[1].to_text().contains(" burn=0 thin=1 prop=2 "));
         assert!(QueryKey::from_text("src=0 tgt=bogus").is_err());
     }
 
@@ -426,6 +450,36 @@ mod tests {
         let legacy =
             QueryKey::from_text("src=0 tgt=sink:3 cond=- burn=8 thin=4 prop=0 fp=77").unwrap();
         assert_eq!(legacy.shard, 0);
+    }
+
+    #[test]
+    fn unconditioned_keys_take_exact_draws_and_conditioned_keep_the_config() {
+        let model = icm();
+        let requires = [FlowCondition::requires(NodeId(0), NodeId(1))];
+        let forbids = [FlowCondition::forbids(NodeId(0), NodeId(2))];
+        let custom = McmcConfig {
+            burn_in: Some(7),
+            thin: Some(3),
+            proposal: ProposalKind::CurrentActivity,
+            ..McmcConfig::default()
+        };
+        for cfg in [McmcConfig::default(), custom] {
+            let class = |conditions: &[FlowCondition]| {
+                let target = SharedTarget::Sink(NodeId(3));
+                QueryKey::canonical(NodeId(0), &target, conditions, &cfg, &model)
+                    .unwrap()
+                    .config
+            };
+            let exact = ConfigClass {
+                burn_in: 0,
+                thin: 1,
+                proposal: ProposalKind::Independent,
+            };
+            assert_eq!(class(&[]), exact);
+            let configured = ConfigClass::of(&cfg, model.edge_count());
+            assert_eq!(class(&requires), configured);
+            assert_eq!(class(&forbids), configured);
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!
 //! * [`QueryKey`] — canonical query identity (normalized conditions,
 //!   resolved config class, model fingerprint), so equivalent requests
-//!   collide and retrained models never serve stale answers;
+//!   collide and retrained models never serve stale answers; keys
+//!   without conditions resolve to exact Eq. 3 draws
+//!   ([`ConfigClass::EXACT`]), conditioned keys to the configured
+//!   Metropolis–Hastings chain;
 //! * [`ServeCache`] — a byte-budgeted LRU of chain *statistics* (counts,
 //!   seed, resumable checkpoint), enabling exact cache hits when the
 //!   cached precision meets the request tolerance and warm chain
@@ -14,7 +17,8 @@
 //! * [`plan_batch`] — the planner: reject contradictions before
 //!   sampling, serve hits, group the rest by chain identity so `k`
 //!   same-source queries pay one burn-in;
-//! * [`run_plans`] — a fixed worker pool with a bounded admission queue,
+//! * [`run_plans`] — a fixed worker pool (the calling thread plus
+//!   helpers) with a bounded admission queue,
 //!   a configurable step-budget admission policy (shed plans carry
 //!   typed `Overloaded` errors with retry-after hints), and
 //!   deterministic capped-backoff retry of transient failures;

@@ -115,7 +115,8 @@ const TRACE_DOMAIN: u64 = 0x7_1ace_1d00;
 /// A pure function of the canonical key hash and the batch position —
 /// no clocks, no randomness — so two runs of the same batch mint
 /// byte-identical trace ids. Rejected queries (no canonical key) use
-/// `key_hash = 0`; the batch index still makes their traces unique.
+/// their engine's shard slot as `key_hash` (`0` on an unsharded
+/// engine); the batch index still makes their traces unique.
 pub fn trace_id(key_hash: u64, query_index: usize) -> u64 {
     mix64(key_hash ^ TRACE_DOMAIN, query_index as u64)
 }
@@ -317,7 +318,9 @@ pub fn plan_batch(
         let key = match QueryKey::canonical(q.source, &q.target, &q.conditions, &config.mcmc, icm) {
             Ok(k) => k.with_shard(config.shard),
             Err(e) => {
-                let trace = trace_id(0, i);
+                // No key to hash: the shard slot keeps the traces of
+                // concurrently served shard units apart.
+                let trace = trace_id(u64::from(config.shard), i);
                 traces[i] = trace;
                 flow_obs::event(|| {
                     flow_obs::Event::new("serve.query.rejected")

@@ -6,15 +6,20 @@
 use flow_core::FlowError;
 use flow_graph::graph::graph_from_edges;
 use flow_graph::NodeId;
+use flow_icm::exact::enumerate_flow_probability;
 use flow_icm::synth::{skewed_probability_mixture, synthetic_icm};
 use flow_icm::{FlowCondition, Icm};
-use flow_mcmc::{DegradationReason, FlowEstimator, McmcConfig, SharedTarget};
+use flow_mcmc::{
+    shared_chain_flows, DegradationReason, FlowEstimator, McmcConfig, SharedChainRequest,
+    SharedTarget,
+};
 use flow_obs::{MemorySink, ScopedRecorder};
 use flow_serve::{
-    Answer, ExecutorConfig, FlowQuery, QueryOutcome, ServeCache, ServeConfig, ServeEngine, Served,
+    Answer, ConfigClass, ExecutorConfig, FlowQuery, QueryOutcome, ServeCache, ServeConfig,
+    ServeEngine, Served,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn small_icm() -> Icm {
@@ -334,14 +339,23 @@ fn cache_persists_across_engine_instances() {
     let queries = vec![
         FlowQuery::flow(NodeId(0), NodeId(4)),
         FlowQuery::flow(NodeId(1), NodeId(3)),
+        FlowQuery {
+            conditions: vec![FlowCondition::requires(NodeId(0), NodeId(1))],
+            ..FlowQuery::flow(NodeId(0), NodeId(3))
+        },
     ];
 
     let mut first = build_engine(config(41));
     let cold = first.execute_batch(&icm, &queries);
     first.cache().save_to_dir(&dir).unwrap();
+    // Exact-draw entries persist their class tag next to the MH one.
+    let text = std::fs::read_to_string(dir.join("cache.flowserve")).unwrap();
+    assert_eq!(text.matches(" prop=2 ").count(), 2);
+    assert_eq!(text.matches("proposal=independent\n").count(), 2);
+    assert_eq!(text.matches(" prop=0 ").count(), 1);
 
     let loaded = ServeCache::load_from_dir(&dir, 8 << 20).unwrap();
-    assert_eq!(loaded.len(), 2);
+    assert_eq!(loaded.len(), 3);
     let mut second = ServeEngine::builder()
         .config(config(41))
         .cache(loaded)
@@ -353,7 +367,7 @@ fn cache_persists_across_engine_instances() {
         assert_eq!(b.served, Served::CacheHit);
         assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
     }
-    assert_eq!(second.stats().cache_hits, 2);
+    assert_eq!(second.stats().cache_hits, 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -372,5 +386,113 @@ fn retrained_model_invalidates_cached_answers() {
         answer(&outcomes[0]).served,
         Served::Fresh,
         "a retrain must never serve the old model's cached answer"
+    );
+}
+
+#[test]
+fn exact_draws_continued_warm_equal_one_longer_cold_run() {
+    let icm = synth_icm(7);
+    let targets = [
+        SharedTarget::Sink(NodeId(5)),
+        SharedTarget::Community(vec![NodeId(3), NodeId(9), NodeId(21)]),
+    ];
+    let run = |samples: usize, warm| {
+        shared_chain_flows(
+            &icm,
+            &ConfigClass::EXACT.to_config(samples),
+            &SharedChainRequest {
+                source: NodeId(0),
+                targets: &targets,
+                conditions: &[],
+                seed: 99,
+                warm,
+                samples,
+                max_steps: None,
+                deadline: None,
+            },
+        )
+        .expect("exact draws need no condition search")
+    };
+    let (n, k) = (300, 200);
+    let cold = run(n, None);
+    let warm = run(k, Some(&cold.checkpoint));
+    let long = run(n + k, None);
+    for ((c, w), l) in cold.counts.iter().zip(&warm.counts).zip(&long.counts) {
+        assert_eq!(c.merge(w), *l);
+    }
+    assert_eq!(warm.checkpoint, long.checkpoint);
+    // One step per retained sample, no burn-in, every step accepted.
+    assert_eq!((cold.steps, warm.steps, long.steps), (300, 200, 500));
+    assert_eq!(long.checkpoint.accepted, 500);
+}
+
+#[test]
+fn exact_warm_refinement_matches_a_cold_tight_answer_bit_for_bit() {
+    let icm = synth_icm(8);
+    let query = |tolerance| FlowQuery {
+        tolerance: Some(tolerance),
+        ..FlowQuery::flow(NodeId(0), NodeId(5))
+    };
+    let cfg = ServeConfig {
+        mcmc: McmcConfig {
+            samples: 16,
+            ..Default::default()
+        },
+        ..config(23)
+    };
+    let mut warm = build_engine(cfg);
+    warm.execute_batch(&icm, &[query(0.1)]);
+    let refined = warm.execute_batch(&icm, &[query(0.03)]);
+    let refined = answer(&refined[0]);
+    assert_eq!(refined.served, Served::WarmRefinement);
+    let cold = build_engine(cfg).execute_batch(&icm, &[query(0.03)]);
+    let cold = answer(&cold[0]);
+    assert_eq!(cold.served, Served::Fresh);
+    assert_eq!(refined.samples, cold.samples);
+    assert_eq!(refined.estimate.to_bits(), cold.estimate.to_bits());
+    assert_eq!(warm.stats().steps, cold.samples);
+}
+
+/// A random 6-node, 12-edge model: small enough to enumerate exactly.
+fn enumerable_icm(seed: u64) -> Icm {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = flow_graph::generate::uniform_edges(&mut rng, 6, 12);
+    let probs = (0..g.edge_count())
+        .map(|_| rng.random_range(0.05..0.95))
+        .collect();
+    Icm::new(g, probs)
+}
+
+#[test]
+fn unconditioned_intervals_cover_exact_flows() {
+    let (mut covered, mut total) = (0usize, 0usize);
+    for seed in 0..32u64 {
+        let icm = enumerable_icm(1_000 + seed);
+        let mut engine = build_engine(config(seed));
+        let queries: Vec<FlowQuery> = (1..6)
+            .map(|t| FlowQuery::flow(NodeId(0), NodeId(t)))
+            .collect();
+        let outcomes = engine.execute_batch(&icm, &queries);
+        for (q, outcome) in queries.iter().zip(&outcomes) {
+            let a = answer(outcome);
+            assert_eq!(a.served, Served::Fresh);
+            let SharedTarget::Sink(sink) = q.target else {
+                unreachable!("sink queries only")
+            };
+            let exact = enumerate_flow_probability(&icm, q.source, sink);
+            total += 1;
+            if (a.estimate - exact).abs() <= a.half_width {
+                covered += 1;
+            }
+        }
+        // The five same-source queries share one plan of exact draws:
+        // one step per retained sample, no burn-in.
+        assert_eq!(engine.stats().plans, 1);
+        assert_eq!(engine.stats().steps, answer(&outcomes[0]).samples);
+    }
+    let coverage = covered as f64 / total as f64;
+    assert!(
+        coverage >= 0.9,
+        "95% intervals covered {covered}/{total} exact flows"
     );
 }

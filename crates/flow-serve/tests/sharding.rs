@@ -1,14 +1,16 @@
 //! Sharded-serving contracts: `--shards 1` byte-identity, tolerance
 //! agreement between routed and global answers, batch-order-independent
 //! cross-shard merges, typed rejection of conditions outside the
-//! reachable subgraph, empty-shard tolerance, builder validation, and
-//! the deprecated-constructor shims.
+//! reachable subgraph, empty-shard tolerance, builder validation,
+//! byte-identical traces with concurrently served shard units, and the
+//! deprecated-constructor shims.
 
 use flow_core::FlowError;
 use flow_graph::graph::graph_from_edges;
 use flow_graph::{partition_edges, NodeId};
 use flow_icm::{FlowCondition, Icm};
 use flow_mcmc::McmcConfig;
+use flow_obs::{JsonlSink, ScopedRecorder};
 use flow_serve::{
     route_query, FlowQuery, QueryOutcome, Route, ServeCache, ServeConfig, ServeEngine,
 };
@@ -133,6 +135,56 @@ fn routed_answers_agree_and_global_fallback_is_bit_identical() {
     assert_eq!(routed, 3, "{:?}", sharded.shard_stats());
     assert_eq!(sharded.stats().queries, 4);
     assert_eq!(sharded.stats().answered, 4);
+}
+
+#[test]
+fn concurrent_shard_units_keep_traces_byte_identical() {
+    let icm = three_communities();
+    let mut contradictory = FlowQuery::flow(NodeId(4), NodeId(7));
+    contradictory.conditions = vec![
+        FlowCondition::requires(NodeId(4), NodeId(5)),
+        FlowCondition::forbids(NodeId(4), NodeId(5)),
+    ];
+    let mut conditioned = FlowQuery::flow(NodeId(8), NodeId(10));
+    conditioned.conditions = vec![FlowCondition::requires(NodeId(8), NodeId(9))];
+    let queries = vec![
+        FlowQuery::flow(NodeId(0), NodeId(3)),
+        // Each community unit sees a contradiction at sub-batch index 0.
+        FlowQuery {
+            conditions: contradictory.conditions.clone(),
+            ..FlowQuery::flow(NodeId(0), NodeId(3))
+        },
+        contradictory,
+        FlowQuery::flow(NodeId(4), NodeId(7)),
+        conditioned,
+        // Global fallback, served beside the units.
+        FlowQuery::flow(NodeId(0), NodeId(7)),
+    ];
+    let traced = || {
+        let sink = std::sync::Arc::new(JsonlSink::new());
+        let mut engine = build(41, 3);
+        let outcomes = {
+            let _r = ScopedRecorder::install(sink.clone());
+            engine.execute_batch(&icm, &queries);
+            engine.execute_batch(&icm, &queries)
+        };
+        assert_eq!(engine.stats().queries, 2 * queries.len() as u64);
+        let failed = outcomes
+            .iter()
+            .filter(|o| matches!(o, QueryOutcome::Failed(_)))
+            .count();
+        assert_eq!(failed, 2);
+        sink.render()
+    };
+    let first = traced();
+    assert!(first.contains("serve.batch.sharded"));
+    for _ in 0..4 {
+        assert_eq!(
+            traced(),
+            first,
+            "sharded trace must not depend on thread timing"
+        );
+    }
 }
 
 #[test]
