@@ -1,8 +1,9 @@
 //! Flow-probability estimation on top of the pseudo-state chain.
 //!
-//! [`FlowEstimator`] packages the paper's burn-in/thinning protocol
-//! (§III-B: discard the first δ states, then keep every δ′-th state) and
-//! turns retained pseudo-states into the quantities the paper queries:
+//! [`FlowEstimator`] runs the paper's burn-in/thinning protocol (§III-B:
+//! discard the first δ states, then keep every δ′-th state) through the
+//! crate's chain driver and turns retained pseudo-states into the
+//! quantities the paper queries:
 //!
 //! * end-to-end flow probabilities (Eq. 5),
 //! * the same conditioned on required/forbidden flows (Eq. 6),
@@ -12,7 +13,9 @@
 //!   reaches — Fig. 4's retweet-count prediction).
 
 use crate::checkpoint::{ChainCheckpoint, FlowCheckpoint};
+use crate::drive::{drive, drive_offline, per_sample, Protocol, MCMC_PHASES};
 use crate::sampler::{ConditionInitError, ProposalKind, PseudoStateSampler};
+use crate::shared::TargetCounts;
 use flow_core::{FlowError, FlowResult};
 use flow_graph::NodeId;
 use flow_icm::{FlowCondition, Icm};
@@ -96,10 +99,8 @@ impl FlowRun {
 
     /// The flow-probability estimate (mean of the indicator series).
     pub fn value(&self) -> f64 {
-        if self.series.is_empty() {
-            return 0.0;
-        }
-        self.series.iter().map(|&b| b as u64).sum::<u64>() as f64 / self.series.len() as f64
+        let hits = self.series.iter().map(|&b| b as u64).sum();
+        per_sample(hits, self.series.len())
     }
 }
 
@@ -124,6 +125,19 @@ impl<'a> FlowEstimator<'a> {
     /// The chain configuration.
     pub fn config(&self) -> McmcConfig {
         self.config
+    }
+
+    /// The configured chain protocol, unbudgeted and without spans.
+    fn protocol(&self) -> Protocol {
+        Protocol::new(&self.config, self.icm.edge_count())
+    }
+
+    /// The configured protocol with the `mcmc.*` phase spans.
+    fn traced_protocol(&self) -> Protocol {
+        Protocol {
+            phases: Some(MCMC_PHASES),
+            ..self.protocol()
+        }
     }
 
     /// Estimates `Pr[source ~> sink | M]` (Eq. 5).
@@ -180,25 +194,17 @@ impl<'a> FlowEstimator<'a> {
         sinks: &[NodeId],
         rng: &mut R,
     ) -> Vec<f64> {
-        let m = self.icm.edge_count();
-        {
-            let _burn = flow_obs::span("mcmc.burn_in");
-            sampler.run(self.config.burn_in_steps(m), rng);
-        }
-        let thin = self.config.thin_steps(m);
         let mut hits = vec![0u64; sinks.len()];
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
+        drive_offline(&self.traced_protocol(), sampler, rng, |sampler, _, _| {
             let reach = sampler.reach_set(&[source]);
             for (k, &sink) in sinks.iter().enumerate() {
                 if sink != source && reach.get(sink.index()) {
                     hits[k] += 1;
                 }
             }
-        }
+        });
         hits.iter()
-            .map(|&h| h as f64 / self.config.samples as f64)
+            .map(|&h| per_sample(h, self.config.samples))
             .collect()
     }
 
@@ -221,46 +227,44 @@ impl<'a> FlowEstimator<'a> {
     ) -> FlowResult<FlowRun> {
         assert!(every > 0, "checkpoint cadence must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, &mut rng);
-        {
-            let _burn = flow_obs::span("mcmc.burn_in");
-            sampler.try_run(self.config.burn_in_steps(m), &mut rng)?;
-        }
-        let thin = self.config.thin_steps(m);
-        let mut series: Vec<u8> = Vec::with_capacity(self.config.samples);
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for k in 0..self.config.samples {
-            sampler.try_run(thin, &mut rng)?;
-            let flow = sampler.carries_flow(source, sink);
-            series.push(u8::from(flow));
-            flow_obs::event(|| {
-                flow_obs::Event::new("sample")
-                    .step(sampler.steps())
-                    .u64("index", k as u64)
-                    .u64("flow", u64::from(flow))
-            });
-            if (k + 1) % every == 0 && k + 1 < self.config.samples {
-                // `capture` rebuilds the weight tree, keeping this run
-                // on the exact same floating-point trajectory as any
-                // resumed continuation (which rebuilds from scratch).
-                let _capture = flow_obs::span("checkpoint.capture");
-                let ckpt = FlowCheckpoint {
-                    chain: ChainCheckpoint::capture(&mut sampler, &rng),
-                    source: source.0,
-                    sink: sink.0,
-                    samples_done: k + 1,
-                    every,
-                    series: series.clone(),
-                };
+        let samples = self.config.samples;
+        let mut series: Vec<u8> = Vec::with_capacity(samples);
+        drive(
+            &self.traced_protocol(),
+            &mut sampler,
+            &mut rng,
+            |sampler, rng, k| {
+                let flow = sampler.carries_flow(source, sink);
+                series.push(u8::from(flow));
                 flow_obs::event(|| {
-                    flow_obs::Event::new("checkpoint.capture")
+                    flow_obs::Event::new("sample")
                         .step(sampler.steps())
-                        .u64("samples_done", (k + 1) as u64)
+                        .u64("index", k as u64)
+                        .u64("flow", u64::from(flow))
                 });
-                on_checkpoint(&ckpt);
-            }
-        }
+                if (k + 1) % every == 0 && k + 1 < samples {
+                    // `capture` rebuilds the weight tree, keeping this run
+                    // on the exact same floating-point trajectory as any
+                    // resumed continuation (which rebuilds from scratch).
+                    let _capture = flow_obs::span("checkpoint.capture");
+                    let ckpt = FlowCheckpoint {
+                        chain: ChainCheckpoint::capture(sampler, rng),
+                        source: source.0,
+                        sink: sink.0,
+                        samples_done: k + 1,
+                        every,
+                        series: series.clone(),
+                    };
+                    flow_obs::event(|| {
+                        flow_obs::Event::new("checkpoint.capture")
+                            .step(sampler.steps())
+                            .u64("samples_done", (k + 1) as u64)
+                    });
+                    on_checkpoint(&ckpt);
+                }
+            },
+        )?;
         Ok(FlowRun::from_series(series))
     }
 
@@ -290,18 +294,22 @@ impl<'a> FlowEstimator<'a> {
                 .step(sampler.steps())
                 .u64("samples_done", ckpt.samples_done as u64)
         });
-        let thin = self.config.thin_steps(self.icm.edge_count());
+        let (done, samples) = (ckpt.samples_done, self.config.samples);
         let mut series = ckpt.series.clone();
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for k in ckpt.samples_done..self.config.samples {
-            sampler.try_run(thin, &mut rng)?;
+        let rest = Protocol {
+            burn_in: 0,
+            samples: samples - done,
+            ..self.traced_protocol()
+        };
+        drive(&rest, &mut sampler, &mut rng, |sampler, _, i| {
             series.push(u8::from(sampler.carries_flow(source, sink)));
-            if (k + 1) % ckpt.every == 0 && k + 1 < self.config.samples {
+            let k = done + i;
+            if (k + 1) % ckpt.every == 0 && k + 1 < samples {
                 // Mirror the uninterrupted run's rebuild at every
                 // checkpoint boundary to stay on its exact trajectory.
                 sampler.rebuild_tree();
             }
-        }
+        })?;
         Ok(FlowRun::from_series(series))
     }
 
@@ -312,18 +320,14 @@ impl<'a> FlowEstimator<'a> {
         flows: &[(NodeId, NodeId)],
         rng: &mut R,
     ) -> f64 {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        sampler.run(self.config.burn_in_steps(m), rng);
-        let thin = self.config.thin_steps(m);
         let mut hits = 0u64;
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
+        drive_offline(&self.protocol(), &mut sampler, rng, |sampler, _, _| {
             if flows.iter().all(|&(u, v)| sampler.carries_flow(u, v)) {
                 hits += 1;
             }
-        }
-        hits as f64 / self.config.samples as f64
+        });
+        per_sample(hits, self.config.samples)
     }
 
     /// Estimates source-to-community flow: the probability of reaching
@@ -335,33 +339,16 @@ impl<'a> FlowEstimator<'a> {
         rng: &mut R,
     ) -> CommunityFlow {
         assert!(!community.is_empty(), "community must be non-empty");
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        sampler.run(self.config.burn_in_steps(m), rng);
-        let thin = self.config.thin_steps(m);
-        let mut all_hits = 0u64;
-        let mut any_hits = 0u64;
-        let mut reached_total = 0u64;
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
-            let reach = sampler.reach_set(&[source]);
-            let reached = community
-                .iter()
-                .filter(|&&v| v != source && reach.get(v.index()))
-                .count();
-            if reached == community.len() {
-                all_hits += 1;
-            }
-            if reached > 0 {
-                any_hits += 1;
-            }
-            reached_total += reached as u64;
-        }
-        let n = self.config.samples as f64;
+        let mut counts = TargetCounts::default();
+        drive_offline(&self.protocol(), &mut sampler, rng, |sampler, _, _| {
+            counts.record(community, source, sampler.reach_set(&[source]));
+        });
+        let n = self.config.samples;
         CommunityFlow {
-            all: all_hits as f64 / n,
-            any: any_hits as f64 / n,
-            expected_fraction: reached_total as f64 / (n * community.len() as f64),
+            all: per_sample(counts.all, n),
+            any: per_sample(counts.any, n),
+            expected_fraction: per_sample(counts.members, n * community.len()),
         }
     }
 
@@ -369,16 +356,11 @@ impl<'a> FlowEstimator<'a> {
     /// pseudo-state, the number of non-source nodes reached. This is the
     /// dispersion measure behind Fig. 4 (predicted retweet counts).
     pub fn impact_distribution<R: Rng + ?Sized>(&self, source: NodeId, rng: &mut R) -> Vec<usize> {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        sampler.run(self.config.burn_in_steps(m), rng);
-        let thin = self.config.thin_steps(m);
         let mut impacts = Vec::with_capacity(self.config.samples);
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
-            let reach = sampler.reach_set(&[source]);
-            impacts.push(reach.count_ones() - 1); // exclude the source
-        }
+        drive_offline(&self.protocol(), &mut sampler, rng, |sampler, _, _| {
+            impacts.push(sampler.reach_set(&[source]).count_ones() - 1); // exclude the source
+        });
         impacts
     }
 }

@@ -12,9 +12,17 @@
 //! * [`PseudoStateSampler`] — the chain itself, supporting both
 //!   conventions for the proposal weights found in the paper (see
 //!   [`ProposalKind`]).
-//! * [`FlowEstimator`] — burn-in/thinning orchestration plus estimators
-//!   for end-to-end, joint, conditional, source-to-community flow, and
-//!   dispersion/impact distributions.
+//! * `drive` (crate-private) — the one chain driver: burn-in in
+//!   budget-checked blocks, thinned sampling, step and wall-clock
+//!   budgets, and the phase spans. Every estimator below runs its chain
+//!   through it and only reads the retained states.
+//! * [`FlowEstimator`] — estimators for end-to-end, joint, conditional,
+//!   source-to-community flow, and dispersion/impact distributions.
+//! * [`parallel`] — independent chains pooled with Gelman–Rubin checks,
+//!   and a budgeted, self-healing variant returning a
+//!   [`PartialEstimate`].
+//! * [`shared`] — one budgeted, resumable chain answering many targets:
+//!   the sampling primitive behind `flow-serve`.
 //! * [`nested`] — nested Metropolis–Hastings (§III-E): an outer loop
 //!   samples point ICMs from a betaICM, the inner loop estimates the
 //!   flow probability of each, yielding a *distribution* over flow
@@ -29,6 +37,7 @@
 pub mod budget;
 pub mod checkpoint;
 pub mod diagnostics;
+mod drive;
 pub mod estimator;
 pub mod influence;
 pub mod nested;

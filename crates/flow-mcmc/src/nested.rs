@@ -9,6 +9,7 @@
 //! estimator. The resulting sample set approximates the betaICM's
 //! uncertainty over the flow probability (Fig. 3).
 
+use crate::drive::per_sample;
 use crate::estimator::{FlowEstimator, McmcConfig};
 use flow_graph::NodeId;
 use flow_icm::BetaIcm;
@@ -139,8 +140,10 @@ impl<'a> NestedSampler<'a> {
             let icm = self.model.sample_icm(rng);
             let est = FlowEstimator::new(&icm, self.config.inner);
             let impacts = est.impact_distribution(source, rng);
-            let mean = impacts.iter().sum::<usize>() as f64 / impacts.len() as f64;
-            out.push(mean);
+            out.push(per_sample(
+                impacts.iter().sum::<usize>() as u64,
+                impacts.len(),
+            ));
         }
         out
     }

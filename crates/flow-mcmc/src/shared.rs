@@ -20,6 +20,9 @@
 //!   chain state, so the *next* query for the same chain can continue
 //!   where this one stopped.
 //!
+//! The chain runs through the crate's chain driver (`drive.rs`), which
+//! owns the burn-in blocks, the budget checks and the phase spans.
+//!
 //! Telemetry emitted here (the `mcmc.burn_in`/`mcmc.sampling` spans and
 //! budget degradation events) carries no explicit trace coordinate:
 //! when the caller runs this under a `flow_obs::TraceContext` — as the
@@ -29,14 +32,15 @@
 
 use crate::budget::DegradationReason;
 use crate::checkpoint::ChainCheckpoint;
+use crate::drive::{drive, Protocol, MCMC_PHASES};
 use crate::estimator::McmcConfig;
 use crate::sampler::PseudoStateSampler;
 use flow_core::FlowResult;
-use flow_graph::NodeId;
+use flow_graph::{BitSet, NodeId};
 use flow_icm::{FlowCondition, Icm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One thing a shared chain evaluates at every retained sample.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -46,6 +50,16 @@ pub enum SharedTarget {
     /// Source-to-community flow (§II's multiple-sink flow): tracked as
     /// all-reached / any-reached / member-count statistics.
     Community(Vec<NodeId>),
+}
+
+impl SharedTarget {
+    /// The nodes this target counts: a sink is a one-member community.
+    fn members(&self) -> &[NodeId] {
+        match self {
+            SharedTarget::Sink(sink) => std::slice::from_ref(sink),
+            SharedTarget::Community(members) => members,
+        }
+    }
 }
 
 /// Hit counters for one target, accumulated over retained samples.
@@ -73,6 +87,22 @@ impl TargetCounts {
             any: self.any + other.any,
             members: self.members + other.members,
         }
+    }
+
+    /// Counts one retained sample: which of `members` the source's
+    /// reach set holds (the source itself never counts as reached).
+    pub(crate) fn record(&mut self, members: &[NodeId], source: NodeId, reach: &BitSet) {
+        let reached = members
+            .iter()
+            .filter(|&&v| v != source && reach.get(v.index()))
+            .count() as u64;
+        if reached == members.len() as u64 && !members.is_empty() {
+            self.all += 1;
+        }
+        if reached > 0 {
+            self.any += 1;
+        }
+        self.members += reached;
     }
 }
 
@@ -114,43 +144,6 @@ pub struct SharedChainOutcome {
     pub checkpoint: ChainCheckpoint,
 }
 
-/// Budget bookkeeping for one call: steps consumed and wall elapsed.
-struct CallBudget {
-    start_steps: u64,
-    max_steps: Option<u64>,
-    started: Option<Instant>,
-    deadline: Option<Duration>,
-}
-
-impl CallBudget {
-    fn new(start_steps: u64, req: &SharedChainRequest<'_>) -> Self {
-        // Wall deadlines bound the loop; they never feed the trajectory.
-        #[allow(clippy::disallowed_methods)]
-        let started = req.deadline.map(|_| Instant::now()); // flow-analyze: allow(L2: deadline budget accounting only)
-        CallBudget {
-            start_steps,
-            max_steps: req.max_steps,
-            started,
-            deadline: req.deadline,
-        }
-    }
-
-    /// Whether the next block of `upcoming` steps fits, and if not, why.
-    fn check(&self, now_steps: u64, upcoming: u64) -> Option<&'static str> {
-        if let Some(max) = self.max_steps {
-            if now_steps - self.start_steps + upcoming > max {
-                return Some("steps");
-            }
-        }
-        if let (Some(t0), Some(limit)) = (&self.started, self.deadline) {
-            if t0.elapsed() >= limit {
-                return Some("wall");
-            }
-        }
-        None
-    }
-}
-
 /// Estimates flows to many targets from a single chain under a budget.
 ///
 /// Cold starts pay `config`'s burn-in; warm starts continue the
@@ -164,8 +157,6 @@ pub fn shared_chain_flows(
     config: &McmcConfig,
     req: &SharedChainRequest<'_>,
 ) -> FlowResult<SharedChainOutcome> {
-    let m = icm.edge_count();
-    let thin = config.thin_steps(m) as u64;
     let (mut sampler, mut rng) = match req.warm {
         Some(ckpt) => ckpt.restore_with_conditions(icm, req.conditions.to_vec())?,
         None => {
@@ -180,96 +171,30 @@ pub fn shared_chain_flows(
         }
     };
     let entry_steps = sampler.steps();
-    let budget = CallBudget::new(entry_steps, req);
-    let mut degradation = Vec::new();
-    let mut counts = vec![TargetCounts::default(); req.targets.len()];
-    let mut samples_done = 0usize;
-
-    let exhausted = |why: &'static str, done: usize, degradation: &mut Vec<_>| {
-        let reason = if why == "steps" {
-            DegradationReason::StepBudgetExhausted {
-                chain: 0,
-                samples_collected: done,
-                samples_requested: req.samples,
-            }
-        } else {
-            DegradationReason::WallClockExhausted {
-                chain: 0,
-                samples_collected: done,
-                samples_requested: req.samples,
-            }
-        };
-        flow_obs::event(|| reason.to_obs_event());
-        degradation.push(reason);
+    let mut protocol = Protocol {
+        samples: req.samples,
+        max_steps: req.max_steps,
+        max_wall: req.deadline,
+        phases: Some(MCMC_PHASES),
+        ..Protocol::new(config, icm.edge_count())
     };
-
-    // Burn-in (cold starts only), in thin-sized blocks so a tight
-    // budget can interrupt it.
-    if req.warm.is_none() {
-        let _burn = flow_obs::span("mcmc.burn_in");
-        let mut remaining = config.burn_in_steps(m) as u64;
-        while remaining > 0 {
-            let block = remaining.min(thin.max(64));
-            if let Some(why) = budget.check(sampler.steps(), block) {
-                exhausted(why, 0, &mut degradation);
-                let checkpoint = ChainCheckpoint::capture(&mut sampler, &rng);
-                return Ok(SharedChainOutcome {
-                    counts,
-                    samples_done: 0,
-                    steps: sampler.steps() - entry_steps,
-                    degradation,
-                    checkpoint,
-                });
-            }
-            sampler.try_run(block as usize, &mut rng)?;
-            remaining -= block;
-        }
+    if req.warm.is_some() {
+        // A warm chain continues its trajectory: no burn-in.
+        protocol.burn_in = 0;
     }
-
-    {
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for _ in 0..req.samples {
-            if let Some(why) = budget.check(sampler.steps(), thin) {
-                exhausted(why, samples_done, &mut degradation);
-                break;
-            }
-            sampler.try_run(thin as usize, &mut rng)?;
-            let source = req.source;
-            let reach = sampler.reach_set(&[source]);
-            for (k, target) in req.targets.iter().enumerate() {
-                match target {
-                    SharedTarget::Sink(sink) => {
-                        if *sink != source && reach.get(sink.index()) {
-                            counts[k].all += 1;
-                            counts[k].any += 1;
-                            counts[k].members += 1;
-                        }
-                    }
-                    SharedTarget::Community(members) => {
-                        let reached = members
-                            .iter()
-                            .filter(|&&v| v != source && reach.get(v.index()))
-                            .count() as u64;
-                        if reached == members.len() as u64 && !members.is_empty() {
-                            counts[k].all += 1;
-                        }
-                        if reached > 0 {
-                            counts[k].any += 1;
-                        }
-                        counts[k].members += reached;
-                    }
-                }
-            }
-            samples_done += 1;
+    let mut counts = vec![TargetCounts::default(); req.targets.len()];
+    let driven = drive(&protocol, &mut sampler, &mut rng, |sampler, _, _| {
+        let reach = sampler.reach_set(&[req.source]);
+        for (count, target) in counts.iter_mut().zip(req.targets) {
+            count.record(target.members(), req.source, reach);
         }
-    }
-
+    })?;
     let checkpoint = ChainCheckpoint::capture(&mut sampler, &rng);
     Ok(SharedChainOutcome {
         counts,
-        samples_done,
+        samples_done: driven.samples,
         steps: sampler.steps() - entry_steps,
-        degradation,
+        degradation: driven.degradation.into_iter().collect(),
         checkpoint,
     })
 }

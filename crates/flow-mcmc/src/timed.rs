@@ -14,6 +14,7 @@
 //! resulting sample set estimates the arrival-time distribution and
 //! deadline probabilities `Pr[u ~> v within t]`.
 
+use crate::drive::{drive_offline, per_sample, Phases, Protocol};
 use crate::estimator::McmcConfig;
 use crate::sampler::PseudoStateSampler;
 use flow_graph::paths::shortest_path_distances;
@@ -79,6 +80,9 @@ impl DelayModel {
         }
     }
 }
+
+/// The timed estimator's phase spans.
+const TIMED_PHASES: Phases = ("timed.burn_in", "timed.sampling");
 
 /// Arrival-time samples for one source/sink pair: `None` entries are
 /// retained states with no flow at all.
@@ -166,6 +170,14 @@ impl<'a> TimedFlowEstimator<'a> {
         Self::new(icm, vec![delay; icm.edge_count()], config)
     }
 
+    /// The configured chain protocol with the `timed.*` phase spans.
+    fn protocol(&self) -> Protocol {
+        Protocol {
+            phases: Some(TIMED_PHASES),
+            ..Protocol::new(&self.config, self.icm.edge_count())
+        }
+    }
+
     /// Samples the arrival-time distribution of `source ~> sink`.
     pub fn arrival_times<R: Rng + ?Sized>(
         &self,
@@ -173,23 +185,15 @@ impl<'a> TimedFlowEstimator<'a> {
         sink: NodeId,
         rng: &mut R,
     ) -> ArrivalTimes {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        {
-            let _burn = flow_obs::span("timed.burn_in");
-            sampler.run(self.config.burn_in_steps(m), rng);
-        }
-        let thin = self.config.thin_steps(m);
         let mut samples = Vec::with_capacity(self.config.samples);
         let graph = self.icm.graph();
-        let mut delay_buf = vec![0.0f64; m];
-        let _sampling = flow_obs::span("timed.sampling");
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
+        let mut delay_buf = vec![0.0f64; self.icm.edge_count()];
+        drive_offline(&self.protocol(), &mut sampler, rng, |sampler, rng, _| {
             let state = sampler.state().clone();
             if !state.carries_flow(graph, source, sink) {
                 samples.push(None);
-                continue;
+                return;
             }
             // Draw delays on active edges only, then shortest path.
             for e in graph.edges() {
@@ -205,8 +209,7 @@ impl<'a> TimedFlowEstimator<'a> {
                 |e: EdgeId| delay_buf[e.index()],
             );
             samples.push(arrival);
-        }
-        drop(_sampling);
+        });
         flow_obs::event(|| {
             flow_obs::Event::new("timed.arrivals")
                 .step(sampler.steps())
@@ -229,19 +232,11 @@ impl<'a> TimedFlowEstimator<'a> {
         deadline: f64,
         rng: &mut R,
     ) -> f64 {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        {
-            let _burn = flow_obs::span("timed.burn_in");
-            sampler.run(self.config.burn_in_steps(m), rng);
-        }
-        let thin = self.config.thin_steps(m);
         let graph = self.icm.graph();
-        let mut delay_buf = vec![0.0f64; m];
-        let _sampling = flow_obs::span("timed.sampling");
-        let mut total = 0usize;
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
+        let mut delay_buf = vec![0.0f64; self.icm.edge_count()];
+        let mut total = 0u64;
+        drive_offline(&self.protocol(), &mut sampler, rng, |sampler, rng, _| {
             let state = sampler.state().clone();
             for e in graph.edges() {
                 if state.is_active(e) {
@@ -258,9 +253,9 @@ impl<'a> TimedFlowEstimator<'a> {
                 .iter()
                 .enumerate()
                 .filter(|&(v, d)| v != source.index() && matches!(d, Some(t) if *t <= deadline))
-                .count();
-        }
-        total as f64 / self.config.samples as f64
+                .count() as u64;
+        });
+        per_sample(total, self.config.samples)
     }
 }
 

@@ -97,8 +97,7 @@ impl ServeConfig {
 /// Every invalid combination is a typed [`FlowError::Config`] at build
 /// time — a zero-worker executor, a non-positive tolerance, a zero
 /// sample cap — instead of a panic or a silent misbehaviour at serve
-/// time. The builder replaces the deprecated `ServeEngine::new` /
-/// `ServeEngine::with_cache` constructors.
+/// time.
 #[derive(Default)]
 pub struct EngineBuilder {
     config: ServeConfig,
@@ -432,19 +431,6 @@ impl ServeEngine {
         }
     }
 
-    /// An engine with a cold cache.
-    #[deprecated(note = "use `ServeEngine::builder()...build()?`, which validates the config")]
-    pub fn new(config: ServeConfig) -> Self {
-        let cache = ServeCache::new(config.cache_bytes);
-        Self::from_parts(config, cache, 0)
-    }
-
-    /// An engine over a pre-populated (e.g. loaded-from-disk) cache.
-    #[deprecated(note = "use `ServeEngine::builder().cache(cache).build()?`")]
-    pub fn with_cache(config: ServeConfig, cache: ServeCache) -> Self {
-        Self::from_parts(config, cache, 0)
-    }
-
     /// The engine's circuit breaker (read-only; for tests/telemetry).
     pub fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
@@ -470,16 +456,6 @@ impl ServeEngine {
             .as_ref()
             .map(|s| s.units.iter().map(|u| u.engine.stats).collect())
             .unwrap_or_default()
-    }
-
-    /// Installs a new model version: eagerly invalidates every cache
-    /// entry keyed on a different fingerprint and returns how many were
-    /// dropped.
-    #[deprecated(
-        note = "use `install_model_icm`, which also swaps the sharded router shard-granularly"
-    )]
-    pub fn install_model(&mut self, fingerprint: u64) -> usize {
-        self.cache.invalidate_stale(fingerprint)
     }
 
     /// Installs a new model version, shard-granularly.

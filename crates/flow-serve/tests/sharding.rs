@@ -356,23 +356,3 @@ fn builder_rejects_invalid_configurations() {
     // The happy path still builds.
     assert!(ServeEngine::builder().build().is_ok());
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructor_shims_still_serve() {
-    let icm = three_communities();
-    let queries = vec![FlowQuery::flow(NodeId(0), NodeId(3))];
-    let mut old = ServeEngine::new(config(47, 1));
-    let mut new = build(47, 1);
-    let a = answer(&old.execute_batch(&icm, &queries)[0])
-        .estimate
-        .to_bits();
-    let b = answer(&new.execute_batch(&icm, &queries)[0])
-        .estimate
-        .to_bits();
-    assert_eq!(a, b, "the shim must behave exactly like the builder");
-
-    let mut with_cache = ServeEngine::with_cache(config(47, 1), ServeCache::new(1 << 20));
-    with_cache.execute_batch(&icm, &queries);
-    assert_eq!(with_cache.install_model(0), 1, "stale entries are dropped");
-}
