@@ -12,8 +12,10 @@
 //! The expected digests were computed once and must not be edited: a
 //! refactor of the chain loops has to reproduce them bit for bit. On a
 //! mismatch the failure message prints the full table of actual
-//! digests. Two further tests pin the one case the shared driver
-//! changes and the zero-sample convention every entry point follows.
+//! digests. Three further tests pin conditioned chains with several
+//! condition sources or many conditions on one source, the one case the
+//! shared driver changes, and the zero-sample convention every entry
+//! point follows.
 
 use flow_core::Fnv64;
 use flow_graph::graph::graph_from_edges;
@@ -451,6 +453,129 @@ fn all_digests() -> Vec<(String, u64)> {
     out
 }
 
+/// Conditions on three distinct sources whose reach sets overlap (each
+/// lies on the spanning path downstream of the previous one), mixing
+/// required and forbidden flows.
+fn three_source_conditions(icm: &Icm) -> Vec<FlowCondition> {
+    let n = icm.node_count() as u32;
+    let (a, b) = (n / 4, n / 2);
+    vec![
+        FlowCondition::requires(NodeId(0), NodeId(b)),
+        FlowCondition::forbids(NodeId(1), NodeId(n - 1)),
+        FlowCondition::requires(NodeId(1), NodeId(a)),
+        FlowCondition::requires(NodeId(a), NodeId(b + 1)),
+        FlowCondition::forbids(NodeId(a), NodeId(n - 2)),
+    ]
+}
+
+/// Five known flows of one source, the shape of Fig. 2(c,d)'s
+/// conditioned panels: the query source's observed reach, some users
+/// reached and some not.
+fn five_on_one_source(icm: &Icm) -> Vec<FlowCondition> {
+    let n = icm.node_count() as u32;
+    let source = NodeId(0);
+    vec![
+        FlowCondition::requires(source, NodeId(2)),
+        FlowCondition::forbids(source, NodeId(n - 1)),
+        FlowCondition::requires(source, NodeId(n / 3)),
+        FlowCondition::forbids(source, NodeId(n - 3)),
+        FlowCondition::requires(source, NodeId(n / 2)),
+    ]
+}
+
+/// Conditioned chains whose condition sets the pins above do not reach:
+/// several condition sources, five conditions on one source, and a warm
+/// continuation of a conditioned shared chain.
+fn conditioned_cases(icm: &Icm, kind: ProposalKind, out: &mut Vec<(String, u64)>) {
+    let m = icm.edge_count();
+    let tag = format!("m{m}/{kind:?}");
+    let (source, sink, mid) = ends(icm);
+    let three = three_source_conditions(icm);
+    let five = five_on_one_source(icm);
+    let mut push = |name: &str, d: Digest| out.push((format!("{tag}/{name}"), d.finish()));
+    let values = |v: Result<Vec<f64>, flow_mcmc::ConditionInitError>| {
+        format!(
+            "{:?}",
+            v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        )
+    };
+
+    let est = FlowEstimator::new(icm, config(kind, 40));
+    let mut rng = StdRng::seed_from_u64(40);
+    let v = est.estimate_conditional_flows_from(source, &[sink, mid, NodeId(3)], &three, &mut rng);
+    push(
+        "three_sources/estimate_conditional_flows_from",
+        Digest::new().text(&values(v)).rng(&mut rng),
+    );
+
+    // Fig. 2(c,d) thins conditioned chains at a quarter of the edges.
+    let fig2 = FlowEstimator::new(
+        icm,
+        McmcConfig {
+            thin: Some((m / 4).max(8)),
+            ..config(kind, 40)
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(41);
+    let v = fig2.estimate_conditional_flows_from(
+        source,
+        &[NodeId(1), NodeId(mid.0 + 1)],
+        &five,
+        &mut rng,
+    );
+    push(
+        "five_on_one_source/estimate_conditional_flows_from",
+        Digest::new().text(&values(v)).rng(&mut rng),
+    );
+
+    let cfg = config(kind, 30);
+    let thin = cfg.thin_steps(m) as u64;
+    let targets = vec![
+        SharedTarget::Sink(sink),
+        SharedTarget::Sink(mid),
+        SharedTarget::Community(vec![NodeId(2), mid, sink]),
+    ];
+    let request = |conditions, seed| SharedChainRequest {
+        source,
+        targets: &targets,
+        conditions,
+        seed,
+        warm: None,
+        samples: 30,
+        max_steps: None,
+        deadline: None,
+    };
+    let digest = |r: &flow_core::FlowResult<flow_mcmc::SharedChainOutcome>| match r {
+        Ok(o) => Digest::new()
+            .text(&format!("{:?}", o.counts))
+            .u64(o.samples_done as u64)
+            .u64(o.steps)
+            .text(&format!("{:?}", o.degradation))
+            .text(&o.checkpoint.to_text()),
+        Err(e) => Digest::new().text(&e.to_string()),
+    };
+    let cold = shared_chain_flows(icm, &cfg, &request(&three, 42));
+    push("three_sources/shared_chain_flows/cold", digest(&cold));
+    if let Ok(cold) = &cold {
+        let warm = shared_chain_flows(
+            icm,
+            &cfg,
+            &SharedChainRequest {
+                warm: Some(&cold.checkpoint),
+                samples: 25,
+                max_steps: Some(20 * thin + 3),
+                ..request(&three, 0)
+            },
+        );
+        push("three_sources/shared_chain_flows/warm", digest(&warm));
+    }
+    let five_shared = shared_chain_flows(icm, &cfg, &request(&five, 43));
+    push(
+        "five_on_one_source/shared_chain_flows",
+        digest(&five_shared),
+    );
+}
+
 fn check(expected: &[(&str, u64)], actual: &[(String, u64)]) {
     let table: String = actual
         .iter()
@@ -473,6 +598,20 @@ fn check(expected: &[(&str, u64)], actual: &[(String, u64)]) {
 #[test]
 fn every_entry_point_matches_its_pinned_digest() {
     check(EXPECTED, &all_digests());
+}
+
+/// Conditioned chains on the 40- and 120-edge models, for every proposal
+/// kind (the two single-flip MH kernels and the independence kernel).
+#[test]
+fn conditioned_chains_match_their_pinned_digests() {
+    let mut out = Vec::new();
+    for m in [40, 120] {
+        let icm = model(m);
+        for kind in KINDS {
+            conditioned_cases(&icm, kind, &mut out);
+        }
+    }
+    check(CONDITIONED_EXPECTED, &out);
 }
 
 /// The one case the shared chain driver changes. A guarded chain whose
@@ -621,6 +760,129 @@ fn every_entry_point_returns_zero_without_samples() {
         assert!(est.impact_distribution(source, &mut rng).is_empty());
     }
 }
+
+const CONDITIONED_EXPECTED: &[(&str, u64)] = &[
+    (
+        "m40/ResultingActivity/three_sources/estimate_conditional_flows_from",
+        0x9c4d10b599b07151,
+    ),
+    (
+        "m40/ResultingActivity/five_on_one_source/estimate_conditional_flows_from",
+        0xa37e6859a048d68e,
+    ),
+    (
+        "m40/ResultingActivity/three_sources/shared_chain_flows/cold",
+        0x7c87b81911de1dab,
+    ),
+    (
+        "m40/ResultingActivity/three_sources/shared_chain_flows/warm",
+        0x413ad45ee452e506,
+    ),
+    (
+        "m40/ResultingActivity/five_on_one_source/shared_chain_flows",
+        0x30cac465474e8db0,
+    ),
+    (
+        "m40/CurrentActivity/three_sources/estimate_conditional_flows_from",
+        0x848d5535d69915ce,
+    ),
+    (
+        "m40/CurrentActivity/five_on_one_source/estimate_conditional_flows_from",
+        0x50284261033f96ca,
+    ),
+    (
+        "m40/CurrentActivity/three_sources/shared_chain_flows/cold",
+        0xcfd8948578d40ffe,
+    ),
+    (
+        "m40/CurrentActivity/three_sources/shared_chain_flows/warm",
+        0x72e195a159e735fc,
+    ),
+    (
+        "m40/CurrentActivity/five_on_one_source/shared_chain_flows",
+        0xe84d5b88417a4e9a,
+    ),
+    (
+        "m40/Independent/three_sources/estimate_conditional_flows_from",
+        0xadfac79886fdf71b,
+    ),
+    (
+        "m40/Independent/five_on_one_source/estimate_conditional_flows_from",
+        0x7f42715d097091b6,
+    ),
+    (
+        "m40/Independent/three_sources/shared_chain_flows/cold",
+        0x833c437fa9b81d0d,
+    ),
+    (
+        "m40/Independent/three_sources/shared_chain_flows/warm",
+        0x8d3b278e802e808b,
+    ),
+    (
+        "m40/Independent/five_on_one_source/shared_chain_flows",
+        0x0bf182fb62db473a,
+    ),
+    (
+        "m120/ResultingActivity/three_sources/estimate_conditional_flows_from",
+        0x7acbc08344ce005e,
+    ),
+    (
+        "m120/ResultingActivity/five_on_one_source/estimate_conditional_flows_from",
+        0x7d8a04c676033113,
+    ),
+    (
+        "m120/ResultingActivity/three_sources/shared_chain_flows/cold",
+        0x11a580992249183c,
+    ),
+    (
+        "m120/ResultingActivity/three_sources/shared_chain_flows/warm",
+        0x30208389cacf8d1d,
+    ),
+    (
+        "m120/ResultingActivity/five_on_one_source/shared_chain_flows",
+        0x336caf9e02edb5b9,
+    ),
+    (
+        "m120/CurrentActivity/three_sources/estimate_conditional_flows_from",
+        0x1d6374a26f60bedb,
+    ),
+    (
+        "m120/CurrentActivity/five_on_one_source/estimate_conditional_flows_from",
+        0x10c21750109ec121,
+    ),
+    (
+        "m120/CurrentActivity/three_sources/shared_chain_flows/cold",
+        0xc2b1f02e7624babf,
+    ),
+    (
+        "m120/CurrentActivity/three_sources/shared_chain_flows/warm",
+        0x26827cbb46414e99,
+    ),
+    (
+        "m120/CurrentActivity/five_on_one_source/shared_chain_flows",
+        0x21d7dcce11ac8fd3,
+    ),
+    (
+        "m120/Independent/three_sources/estimate_conditional_flows_from",
+        0xca192d626f4b1ebf,
+    ),
+    (
+        "m120/Independent/five_on_one_source/estimate_conditional_flows_from",
+        0x128fe21c8aaaa4e5,
+    ),
+    (
+        "m120/Independent/three_sources/shared_chain_flows/cold",
+        0x92da923277a66b78,
+    ),
+    (
+        "m120/Independent/three_sources/shared_chain_flows/warm",
+        0x8ed210886c3e7207,
+    ),
+    (
+        "m120/Independent/five_on_one_source/shared_chain_flows",
+        0x7be42188c604eaa3,
+    ),
+];
 
 const BURN_IN_BLOCK_EXPECTED: &[(&str, u64)] = &[
     (
