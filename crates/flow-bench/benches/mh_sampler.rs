@@ -48,7 +48,9 @@ fn chain_update_scaling(c: &mut Criterion) {
 }
 
 fn conditional_step_overhead(c: &mut Criterion) {
-    // Conditions add an O(m) reachability test per accepted proposal.
+    // Conditions add one O(m) BFS from the condition source per accepted
+    // proposal that flips an edge leaving the source's reach set (and is
+    // not an activation into it); every other proposal skips it.
     let icm = scaling_icm(2_000, 5);
     let mut rng = StdRng::seed_from_u64(6);
     let conditions = vec![flow_icm::FlowCondition::requires(NodeId(0), NodeId(1))];

@@ -51,14 +51,18 @@ pub fn conditions_hold(graph: &DiGraph, state: &PseudoState, conditions: &[FlowC
     conditions.iter().all(|c| c.holds(graph, state))
 }
 
-/// Checks a condition set for direct contradictions (the same `(u, v)`
-/// pair both required and forbidden). Deeper unsatisfiability (e.g. a
-/// required flow whose every path crosses a forbidden one) is discovered
-/// by the sampler's initialization instead.
+/// Checks a condition set for direct contradictions: the same `(u, v)`
+/// pair both required and forbidden, or a forbidden self-flow `u ~> u`,
+/// which never holds because a node always reaches itself. Deeper
+/// unsatisfiability (e.g. a required flow whose every path crosses a
+/// forbidden one) is discovered by the sampler's initialization instead.
 pub fn find_contradiction(conditions: &[FlowCondition]) -> Option<(NodeId, NodeId)> {
     use std::collections::HashMap;
     let mut seen: HashMap<(u32, u32), bool> = HashMap::new();
     for c in conditions {
+        if c.source == c.sink && !c.required {
+            return Some((c.source, c.sink));
+        }
         if let Some(&prev) = seen.get(&(c.source.0, c.sink.0)) {
             if prev != c.required {
                 return Some((c.source, c.sink));
@@ -71,22 +75,28 @@ pub fn find_contradiction(conditions: &[FlowCondition]) -> Option<(NodeId, NodeI
 }
 
 /// Canonicalizes a condition set: sorts by `(source, sink, required)`,
-/// removes duplicates, and rejects directly contradictory sets (the
-/// same flow both required and forbidden) with the offending pair.
+/// removes duplicates and required self-flows `u ~> u` (which always
+/// hold), and rejects directly contradictory sets (see
+/// [`find_contradiction`]) with the offending pair.
 ///
-/// Two condition sets that differ only in ordering or duplication
-/// normalize to the same vector, so the result is usable as a cache or
-/// grouping key; the serving layer (flow-serve) relies on this for its
-/// canonical `QueryKey`. The sampled distribution is unchanged: the
-/// combined indicator `I(x, C)` is a product, hence order-insensitive
-/// and idempotent under duplication.
+/// Two condition sets that differ only in ordering, duplication or
+/// required self-flows normalize to the same vector, so the result is
+/// usable as a cache or grouping key; the serving layer (flow-serve)
+/// relies on this for its canonical `QueryKey`. The sampled
+/// distribution is unchanged: the combined indicator `I(x, C)` is a
+/// product, hence order-insensitive and idempotent under duplication,
+/// and a factor that is always 1 drops out of it.
 pub fn normalize_conditions(
     conditions: &[FlowCondition],
 ) -> Result<Vec<FlowCondition>, (NodeId, NodeId)> {
     if let Some(pair) = find_contradiction(conditions) {
         return Err(pair);
     }
-    let mut out = conditions.to_vec();
+    let mut out: Vec<FlowCondition> = conditions
+        .iter()
+        .copied()
+        .filter(|c| c.source != c.sink)
+        .collect();
     out.sort_by_key(|c| (c.source.0, c.sink.0, c.required));
     out.dedup();
     Ok(out)
@@ -110,6 +120,10 @@ mod tests {
         x.set(EdgeId(1), true);
         assert!(req.holds(&g, &x));
         assert!(!forb.holds(&g, &x));
+        // A node always reaches itself.
+        let none = PseudoState::all_inactive(2);
+        assert!(FlowCondition::requires(NodeId(2), NodeId(2)).holds(&g, &none));
+        assert!(!FlowCondition::forbids(NodeId(2), NodeId(2)).holds(&g, &none));
     }
 
     #[test]
@@ -140,6 +154,23 @@ mod tests {
             FlowCondition::forbids(NodeId(1), NodeId(0)),
         ];
         assert_eq!(find_contradiction(&ok), None);
+        // A forbidden self-flow never holds, even alone.
+        let forbid_self = [
+            FlowCondition::requires(NodeId(0), NodeId(1)),
+            FlowCondition::forbids(NodeId(1), NodeId(1)),
+        ];
+        assert_eq!(
+            find_contradiction(&forbid_self),
+            Some((NodeId(1), NodeId(1)))
+        );
+        assert_eq!(
+            find_contradiction(&forbid_self[1..]),
+            Some((NodeId(1), NodeId(1)))
+        );
+        assert_eq!(
+            find_contradiction(&[FlowCondition::requires(NodeId(1), NodeId(1))]),
+            None
+        );
     }
 
     #[test]
@@ -183,5 +214,20 @@ mod tests {
         ];
         assert_eq!(normalize_conditions(&bad), Err((NodeId(0), NodeId(1))));
         assert_eq!(normalize_conditions(&[]), Ok(vec![]));
+        // A required self-flow always holds and drops out; a forbidden
+        // one is a contradiction.
+        let require_self = [
+            FlowCondition::requires(NodeId(1), NodeId(1)),
+            FlowCondition::forbids(NodeId(1), NodeId(0)),
+        ];
+        assert_eq!(
+            normalize_conditions(&require_self),
+            Ok(vec![FlowCondition::forbids(NodeId(1), NodeId(0))])
+        );
+        assert_eq!(normalize_conditions(&require_self[..1]), Ok(vec![]));
+        assert_eq!(
+            normalize_conditions(&[FlowCondition::forbids(NodeId(1), NodeId(1))]),
+            Err((NodeId(1), NodeId(1)))
+        );
     }
 }

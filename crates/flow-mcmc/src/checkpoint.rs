@@ -124,17 +124,32 @@ impl ChainCheckpoint {
     /// Restores the chain with an explicit set of flow conditions (the
     /// conditions themselves are model-level configuration, not chain
     /// state, so they are supplied rather than serialized).
+    ///
+    /// Fails with [`FlowError::Checkpoint`] when the checkpointed state
+    /// breaks one of `conditions`: a chain started outside the support
+    /// of `Pr[x | M, C]` would keep samples from outside it.
     pub fn restore_with_conditions<'a>(
         &self,
         icm: &'a Icm,
         conditions: Vec<flow_icm::FlowCondition>,
     ) -> FlowResult<(PseudoStateSampler<'a>, StdRng)> {
         self.validate(icm)?;
-        flow_obs::counter("checkpoint.restores", 1);
         let mut bits = BitSet::new(self.edge_count);
         for &i in &self.active_edges {
             bits.set(i as usize, true);
         }
+        let state = PseudoState::from_bits(bits);
+        if let Some(c) = conditions.iter().find(|c| !c.holds(icm.graph(), &state)) {
+            return Err(FlowError::Checkpoint {
+                detail: format!(
+                    "checkpointed state breaks the {} flow {} ~> {} it is restored with",
+                    if c.required { "required" } else { "forbidden" },
+                    c.source,
+                    c.sink
+                ),
+            });
+        }
+        flow_obs::counter("checkpoint.restores", 1);
         flow_core::debug_invariant!(
             self.accepted <= self.steps,
             "checkpoint counters incoherent: {} accepted of {} steps",
@@ -142,15 +157,15 @@ impl ChainCheckpoint {
             self.steps
         );
         flow_core::debug_invariant!(
-            bits.len() == icm.edge_count(),
+            state.edge_count() == icm.edge_count(),
             "restored state covers {} edges but the model has {}",
-            bits.len(),
+            state.edge_count(),
             icm.edge_count()
         );
         let sampler = PseudoStateSampler::from_checkpoint_parts(
             icm,
             self.proposal,
-            PseudoState::from_bits(bits),
+            state,
             conditions,
             self.steps,
             self.accepted,
@@ -445,6 +460,30 @@ mod tests {
         }
         assert_eq!(live_states, resumed_states);
         assert_eq!(sampler.accepted(), resumed.accepted());
+    }
+
+    #[test]
+    fn restore_rejects_a_state_outside_the_conditions_support() {
+        let icm = diamond_icm();
+        let (source, sink) = (flow_graph::NodeId(0), flow_graph::NodeId(3));
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut sampler = PseudoStateSampler::new(&icm, ProposalKind::ResultingActivity, &mut rng);
+        while sampler.carries_flow(source, sink) {
+            sampler.step(&mut rng);
+        }
+        let ckpt = ChainCheckpoint::capture(&mut sampler, &rng);
+        let required = flow_icm::FlowCondition::requires(source, sink);
+        let err = ckpt
+            .restore_with_conditions(&icm, vec![required])
+            .unwrap_err();
+        assert!(
+            matches!(&err, FlowError::Checkpoint { detail } if detail.contains("required flow v0 ~> v3")),
+            "{err}"
+        );
+        // The same state restores under a condition it satisfies.
+        let forbidden = flow_icm::FlowCondition::forbids(source, sink);
+        let (resumed, _) = ckpt.restore_with_conditions(&icm, vec![forbidden]).unwrap();
+        assert_eq!(resumed.state(), sampler.state());
     }
 
     #[test]

@@ -48,10 +48,25 @@
 //! *start* inside the support; [`PseudoStateSampler::with_conditions`]
 //! constructs a satisfying initial state by activating randomized paths
 //! for required flows and retrying on forbidden-flow violations.
+//!
+//! The chain keeps the reach set `R(s)` of every distinct condition
+//! source `s` in its current state, and reads each condition off it
+//! (`sink ∈ R(s)`; a node always reaches itself). The sets are derived
+//! state: every constructor builds them from the state, clones carry
+//! them, and checkpoints never store them. A single flip of edge
+//! `(u, v)` can change `R(s)` only when `u ∈ R(s)`, and activating it
+//! cannot when `v ∈ R(s)` already. Every other flip leaves every
+//! condition as it was (inside the support), so it passes the indicator
+//! with no traversal. Otherwise only the affected sources' sets are
+//! recomputed (one BFS each) and their conditions re-read; the new sets
+//! replace the old ones only once the step is accepted. The independence
+//! kernel recomputes every source's set on each redraw. The indicator's
+//! value at each step is the same as a fresh BFS per condition would
+//! give, so trajectories and RNG use do not depend on this caching.
 
 use flow_core::{fault, FlowError, FlowResult};
 use flow_graph::traverse::BfsScratch;
-use flow_graph::{EdgeId, NodeId};
+use flow_graph::{BitSet, DiGraph, EdgeId, NodeId};
 use flow_icm::query::conditions_hold;
 use flow_icm::{FlowCondition, Icm, PseudoState};
 use flow_stats::WeightTree;
@@ -106,7 +121,8 @@ impl ProposalKind {
 /// Failure to construct an initial state satisfying the flow conditions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConditionInitError {
-    /// The same flow is both required and forbidden.
+    /// The same flow is both required and forbidden, or a self-flow
+    /// `u ~> u` (which always holds) is forbidden.
     Contradictory {
         /// Source of the contradictory flow condition.
         source: NodeId,
@@ -128,6 +144,12 @@ pub enum ConditionInitError {
 impl std::fmt::Display for ConditionInitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConditionInitError::Contradictory { source, sink } if source == sink => {
+                write!(
+                    f,
+                    "flow {source} ~> {sink} is forbidden, but a node always reaches itself"
+                )
+            }
             ConditionInitError::Contradictory { source, sink } => {
                 write!(f, "flow {source} ~> {sink} is both required and forbidden")
             }
@@ -171,6 +193,91 @@ struct PendingObs {
     tree_rebuilds: u64,
 }
 
+/// The reach set of one distinct condition source in the chain's
+/// current state, and the conditions read off it (see the module docs'
+/// "Conditions").
+#[derive(Clone, Debug)]
+struct SourceReach {
+    source: NodeId,
+    /// `(sink, required)` of every condition on `source`.
+    sinks: Vec<(NodeId, bool)>,
+    /// The nodes `source` reaches in the current state.
+    set: BitSet,
+    /// The proposed state's set, swapped into `set` on acceptance.
+    staged: BitSet,
+    /// Whether `staged` holds the current proposal's set.
+    restaged: bool,
+}
+
+impl SourceReach {
+    /// True iff every condition on this source holds with `reach` as
+    /// its reach set.
+    fn holds_in(&self, reach: &BitSet) -> bool {
+        self.sinks
+            .iter()
+            .all(|&(sink, required)| reach.get(sink.index()) == required)
+    }
+
+    /// Recomputes the source's set in `state` into `staged`. Returns
+    /// false, leaving `staged` stale, when a condition fails there.
+    fn stage(&mut self, scratch: &mut BfsScratch, graph: &DiGraph, state: &PseudoState) -> bool {
+        let reach = scratch.reach_set(graph, &[self.source], |e| state.is_active(e));
+        if !self.holds_in(reach) {
+            return false;
+        }
+        self.staged.clear();
+        self.staged.union_with(reach);
+        true
+    }
+}
+
+/// Groups `conditions` by source and computes each source's reach set
+/// in `state`.
+fn source_reach_sets(
+    graph: &DiGraph,
+    state: &PseudoState,
+    conditions: &[FlowCondition],
+    scratch: &mut BfsScratch,
+) -> Vec<SourceReach> {
+    let mut reach: Vec<SourceReach> = Vec::new();
+    for c in conditions {
+        match reach.iter_mut().find(|r| r.source == c.source) {
+            Some(r) => r.sinks.push((c.sink, c.required)),
+            None => reach.push(SourceReach {
+                source: c.source,
+                sinks: vec![(c.sink, c.required)],
+                set: scratch
+                    .reach_set(graph, &[c.source], |e| state.is_active(e))
+                    .clone(),
+                staged: BitSet::new(graph.node_count()),
+                restaged: false,
+            }),
+        }
+    }
+    reach
+}
+
+/// Re-reads the conditions in `state`, a proposal: recomputes into its
+/// staging buffer the set of every source that `affected` selects (by
+/// its current set) and returns false at the first violated condition.
+/// Sources not selected keep their sets, and their conditions still
+/// hold.
+fn stage_reach_sets(
+    reach: &mut [SourceReach],
+    scratch: &mut BfsScratch,
+    graph: &DiGraph,
+    state: &PseudoState,
+    affected: impl Fn(&BitSet) -> bool,
+) -> bool {
+    for r in reach {
+        r.restaged = affected(&r.set);
+        if r.restaged && !r.stage(scratch, graph, state) {
+            return false;
+        }
+    }
+    true
+}
+
 /// A Metropolis–Hastings chain over the pseudo-states of one ICM.
 #[derive(Clone, Debug)]
 pub struct PseudoStateSampler<'a> {
@@ -179,6 +286,8 @@ pub struct PseudoStateSampler<'a> {
     tree: WeightTree,
     kind: ProposalKind,
     conditions: Vec<FlowCondition>,
+    /// Reach set of each distinct condition source in `state`.
+    reach: Vec<SourceReach>,
     /// The independence kernel's proposed state under conditions, kept
     /// so a rejected draw leaves `state` untouched; sized by its first
     /// redraw.
@@ -205,16 +314,20 @@ impl<'a> PseudoStateSampler<'a> {
     ///
     /// The initial state activates a randomized path for every required
     /// flow (everything else drawn from the marginal), retrying until
-    /// the forbidden flows hold too.
+    /// the forbidden flows hold too. A required self-flow `u ~> u`
+    /// always holds and is dropped; a forbidden one never holds and is
+    /// reported as [`ConditionInitError::Contradictory`].
     pub fn with_conditions<R: Rng + ?Sized>(
         icm: &'a Icm,
         kind: ProposalKind,
-        conditions: Vec<FlowCondition>,
+        mut conditions: Vec<FlowCondition>,
         rng: &mut R,
     ) -> Result<Self, ConditionInitError> {
         if let Some((source, sink)) = flow_icm::query::find_contradiction(&conditions) {
             return Err(ConditionInitError::Contradictory { source, sink });
         }
+        // Only required self-flows are left, and they always hold.
+        conditions.retain(|c| c.source != c.sink);
         // A required flow with no path at all can never be satisfied.
         let mut scratch = BfsScratch::new(icm.node_count());
         for c in &conditions {
@@ -258,13 +371,16 @@ impl<'a> PseudoStateSampler<'a> {
             .edges()
             .map(|e| kind.weight(icm.probability(e), state.is_active(e)))
             .collect();
+        let mut scratch = BfsScratch::new(icm.node_count());
+        let reach = source_reach_sets(icm.graph(), &state, &conditions, &mut scratch);
         PseudoStateSampler {
-            scratch: BfsScratch::new(icm.node_count()),
+            scratch,
             icm,
             state,
             tree: WeightTree::new(&weights),
             kind,
             conditions,
+            reach,
             proposed: PseudoState::all_inactive(0),
             steps: 0,
             accepted: 0,
@@ -279,6 +395,12 @@ impl<'a> PseudoStateSampler<'a> {
     /// rebuilt from scratch, so callers that need bit-exact resume must
     /// pair this with [`Self::rebuild_tree`] on the live chain at the
     /// capture point (see `crate::checkpoint`).
+    ///
+    /// `state` must satisfy every condition in `conditions`: the chain
+    /// only samples `Pr[x | M, C]` from inside its support, and it
+    /// re-reads a condition only after a flip that can change it.
+    /// [`crate::ChainCheckpoint::restore_with_conditions`] checks this
+    /// before calling here.
     pub fn from_checkpoint_parts(
         icm: &'a Icm,
         kind: ProposalKind,
@@ -476,23 +598,33 @@ impl<'a> PseudoStateSampler<'a> {
         }
 
         // Condition indicator on the proposed state (p_ratio = 0 on
-        // violation → certain rejection).
-        if !self.conditions.is_empty() {
-            self.state.flip(e);
+        // violation → certain rejection), re-read only for the sources
+        // whose reach set the flip can change.
+        self.state.flip(e);
+        if !self.reach.is_empty() {
             let graph = self.icm.graph();
-            if !conditions_hold_in(&mut self.scratch, graph, &self.state, &self.conditions) {
+            let (tail, head) = graph.endpoints(e);
+            let affected =
+                |set: &BitSet| set.get(tail.index()) && (was_active || !set.get(head.index()));
+            if !stage_reach_sets(
+                &mut self.reach,
+                &mut self.scratch,
+                graph,
+                &self.state,
+                affected,
+            ) {
                 self.state.flip(e);
                 self.pending.condition_rejects += 1;
                 return Ok(false);
             }
-        } else {
-            self.state.flip(e);
         }
 
         self.tree.try_update(i, w_new).inspect_err(|_| {
-            // Roll the flip back so the caller sees a consistent state.
+            // Roll the flip back so the caller sees a consistent state;
+            // the staged reach sets are dropped with it.
             self.state.flip(e);
         })?;
+        self.commit_reach_sets();
         self.accepted += 1;
         self.updates_since_rebuild += 1;
         self.pending.accepts += 1;
@@ -518,20 +650,57 @@ impl<'a> PseudoStateSampler<'a> {
     /// ratio is the condition indicator alone — accept always without
     /// conditions, otherwise exactly when the draw satisfies them.
     fn independent_step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        if self.conditions.is_empty() {
+        if self.reach.is_empty() {
             self.state.resample(self.icm, rng);
         } else {
             self.proposed.resample(self.icm, rng);
             let graph = self.icm.graph();
-            if !conditions_hold_in(&mut self.scratch, graph, &self.proposed, &self.conditions) {
+            if !stage_reach_sets(
+                &mut self.reach,
+                &mut self.scratch,
+                graph,
+                &self.proposed,
+                |_| true,
+            ) {
                 self.pending.condition_rejects += 1;
                 return false;
             }
             std::mem::swap(&mut self.state, &mut self.proposed);
+            self.commit_reach_sets();
         }
         self.accepted += 1;
         self.pending.accepts += 1;
         true
+    }
+
+    /// Swaps the accepted proposal's staged reach sets in, then (in
+    /// debug-invariants builds) checks every cached set against a fresh
+    /// BFS and the conditions against the reference evaluator.
+    fn commit_reach_sets(&mut self) {
+        if self.reach.is_empty() {
+            return;
+        }
+        for r in &mut self.reach {
+            if r.restaged {
+                std::mem::swap(&mut r.set, &mut r.staged);
+            }
+        }
+        let graph = self.icm.graph();
+        let state = &self.state;
+        flow_core::debug_invariant!(
+            self.reach.iter().all(|r| {
+                self.scratch
+                    .reach_set(graph, &[r.source], |e| state.is_active(e))
+                    == &r.set
+            }),
+            "a cached condition-source reach set differs from a fresh BFS after step {}",
+            self.steps
+        );
+        flow_core::debug_invariant!(
+            conditions_hold(graph, state, &self.conditions),
+            "accepted step {} left the support of the conditions",
+            self.steps
+        );
     }
 
     /// Performs `n` chain updates.
@@ -579,18 +748,6 @@ impl<'a> PseudoStateSampler<'a> {
         self.scratch
             .reach_set(self.icm.graph(), sources, |e| state.is_active(e))
     }
-}
-
-/// [`conditions_hold`] over a reusable BFS scratch.
-fn conditions_hold_in(
-    scratch: &mut BfsScratch,
-    graph: &flow_graph::DiGraph,
-    state: &PseudoState,
-    conditions: &[FlowCondition],
-) -> bool {
-    conditions.iter().all(|c| {
-        scratch.is_reachable(graph, c.source, c.sink, |e| state.is_active(e)) == c.required
-    })
 }
 
 /// Activates the edges of one randomized path from `source` to `sink`
@@ -852,6 +1009,62 @@ mod tests {
     }
 
     #[test]
+    fn cached_reach_sets_track_every_step() {
+        // Three condition sources with overlapping reach sets on a
+        // 6-node model with a cycle; after every step, accepted or not,
+        // each cached set equals a fresh BFS and the conditions hold.
+        let g = graph_from_edges(
+            6,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (0, 2),
+                (1, 3),
+                (2, 4),
+                (3, 1),
+                (5, 2),
+            ],
+        );
+        let icm = Icm::with_uniform_probability(g, 0.5);
+        let conditions = vec![
+            FlowCondition::requires(NodeId(0), NodeId(3)),
+            FlowCondition::forbids(NodeId(1), NodeId(5)),
+            FlowCondition::requires(NodeId(2), NodeId(4)),
+            FlowCondition::forbids(NodeId(0), NodeId(5)),
+        ];
+        for (seed, kind) in [
+            ProposalKind::ResultingActivity,
+            ProposalKind::CurrentActivity,
+            ProposalKind::Independent,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(500 + seed as u64);
+            let mut sampler =
+                PseudoStateSampler::with_conditions(&icm, kind, conditions.clone(), &mut rng)
+                    .unwrap();
+            assert_eq!(sampler.reach.len(), 3);
+            for _ in 0..2_000 {
+                sampler.step(&mut rng);
+                let state = sampler.state().clone();
+                for r in &sampler.reach {
+                    let fresh =
+                        flow_graph::traverse::reachable_filtered(icm.graph(), &[r.source], |e| {
+                            state.is_active(e)
+                        });
+                    assert_eq!(r.set, fresh.reached, "{kind:?} source {}", r.source);
+                }
+                assert!(conditions_hold(icm.graph(), &state, &conditions));
+            }
+            assert!(sampler.accepted() > 0, "{kind:?} never moved");
+        }
+    }
+
+    #[test]
     fn contradictory_conditions_rejected() {
         let icm = diamond_icm();
         let mut rng = StdRng::seed_from_u64(5);
@@ -872,6 +1085,55 @@ mod tests {
                 sink: NodeId(3)
             }
         );
+    }
+
+    #[test]
+    fn self_flow_conditions_never_reach_the_init_search() {
+        let icm = diamond_icm();
+        let fresh_draw = StdRng::seed_from_u64(5).random::<u64>();
+        // A forbidden self-flow never holds: rejected up front, before
+        // the initial-state search draws anything.
+        let mut rng = StdRng::seed_from_u64(5);
+        let err = PseudoStateSampler::with_conditions(
+            &icm,
+            ProposalKind::ResultingActivity,
+            vec![
+                FlowCondition::requires(NodeId(0), NodeId(1)),
+                FlowCondition::forbids(NodeId(3), NodeId(3)),
+            ],
+            &mut rng,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ConditionInitError::Contradictory {
+                source: NodeId(3),
+                sink: NodeId(3)
+            }
+        );
+        assert!(err.to_string().contains("always reaches itself"), "{err}");
+        assert_eq!(rng.random::<u64>(), fresh_draw);
+
+        // A required one always holds: the chain drops it and runs the
+        // unconditioned trajectory.
+        for kind in [ProposalKind::ResultingActivity, ProposalKind::Independent] {
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut vacuous = PseudoStateSampler::with_conditions(
+                &icm,
+                kind,
+                vec![FlowCondition::requires(NodeId(3), NodeId(3))],
+                &mut rng,
+            )
+            .unwrap();
+            assert!(vacuous.conditions().is_empty());
+            let mut rng2 = StdRng::seed_from_u64(6);
+            let mut plain = PseudoStateSampler::new(&icm, kind, &mut rng2);
+            for _ in 0..200 {
+                vacuous.step(&mut rng);
+                plain.step(&mut rng2);
+                assert_eq!(vacuous.state(), plain.state());
+            }
+        }
     }
 
     #[test]

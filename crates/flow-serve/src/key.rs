@@ -125,11 +125,15 @@ pub struct QueryKey {
 impl QueryKey {
     /// Canonicalizes a raw query. Fails with the offending `(u, v)` pair
     /// mapped to [`FlowError::GraphInconsistency`] when the condition
-    /// set is directly contradictory — the planner surfaces this as a
-    /// typed per-query failure *before* any sampling happens.
+    /// set is directly contradictory (a flow both required and
+    /// forbidden, or a forbidden self-flow `u ~> u`) — the planner
+    /// surfaces this as a typed per-query failure *before* any sampling
+    /// happens.
     ///
     /// A query without conditions resolves to [`ConfigClass::EXACT`]
     /// whatever `config` says; a conditioned one to `config`'s class.
+    /// Required self-flows always hold and normalize away, so a query
+    /// whose only conditions are such flows is an unconditioned one.
     pub fn canonical(
         source: NodeId,
         target: &SharedTarget,
@@ -139,9 +143,11 @@ impl QueryKey {
     ) -> FlowResult<Self> {
         let conditions =
             normalize_conditions(conditions).map_err(|(u, v)| FlowError::GraphInconsistency {
-                detail: format!(
-                    "contradictory flow conditions: {u}~>{v} both required and forbidden"
-                ),
+                detail: if u == v {
+                    format!("contradictory flow condition: {u}~>{v} forbidden, but a node always reaches itself")
+                } else {
+                    format!("contradictory flow conditions: {u}~>{v} both required and forbidden")
+                },
             })?;
         let target = match target {
             SharedTarget::Sink(s) => SharedTarget::Sink(*s),
@@ -374,21 +380,38 @@ mod tests {
 
     #[test]
     fn contradictory_conditions_are_rejected() {
-        let err = QueryKey::canonical(
-            NodeId(0),
-            &SharedTarget::Sink(NodeId(3)),
-            &[
-                FlowCondition::requires(NodeId(1), NodeId(2)),
-                FlowCondition::forbids(NodeId(1), NodeId(2)),
-            ],
-            &McmcConfig::default(),
-            &icm(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            flow_core::FlowError::GraphInconsistency { .. }
-        ));
+        let both = [
+            FlowCondition::requires(NodeId(1), NodeId(2)),
+            FlowCondition::forbids(NodeId(1), NodeId(2)),
+        ];
+        let forbid_self = [FlowCondition::forbids(NodeId(1), NodeId(1))];
+        for (conditions, why) in [
+            (&both[..], "both required and forbidden"),
+            (&forbid_self[..], "always reaches itself"),
+        ] {
+            let err = QueryKey::canonical(
+                NodeId(0),
+                &SharedTarget::Sink(NodeId(3)),
+                conditions,
+                &McmcConfig::default(),
+                &icm(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, FlowError::GraphInconsistency { detail } if detail.contains(why)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn required_self_flow_is_the_unconditioned_key() {
+        let plain = key(&[]);
+        let vacuous = key(&[FlowCondition::requires(NodeId(1), NodeId(1))]);
+        assert_eq!(vacuous, plain);
+        assert_eq!(vacuous.hash64(), plain.hash64());
+        assert_eq!(vacuous.chain_key(), plain.chain_key());
+        assert_eq!(vacuous.config, ConfigClass::EXACT);
     }
 
     #[test]

@@ -62,7 +62,10 @@ pub fn route_query(icm: &Icm, partition: &EdgePartition, query: &FlowQuery) -> R
     }
     for c in &query.conditions {
         if c.source == c.sink {
-            // `u ~> u` holds vacuously; no edge constrains it.
+            // No edge constrains `u ~> u`: a node always reaches
+            // itself, so a required self-flow holds vacuously and a
+            // forbidden one never holds, which planning rejects as a
+            // contradiction.
             continue;
         }
         let mut connected = false;

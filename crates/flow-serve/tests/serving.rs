@@ -205,35 +205,61 @@ fn shared_chain_batch_agrees_with_independent_estimates() {
 #[test]
 fn contradictory_conditions_fail_typed_without_sampling() {
     let icm = small_icm();
-    let query = FlowQuery {
-        conditions: vec![
+    // The same flow required and forbidden, and a forbidden self-flow
+    // (a node always reaches itself).
+    for conditions in [
+        vec![
             FlowCondition::requires(NodeId(0), NodeId(3)),
             FlowCondition::forbids(NodeId(0), NodeId(3)),
         ],
-        ..FlowQuery::flow(NodeId(0), NodeId(4))
-    };
-    let sink = Arc::new(MemorySink::new());
-    let mut engine = build_engine(config(1));
-    let outcomes = {
-        let _r = ScopedRecorder::install(sink.clone());
-        engine.execute_batch(&icm, std::slice::from_ref(&query))
-    };
-    match &outcomes[0] {
-        QueryOutcome::Failed(e) => {
-            assert!(
-                matches!(e, flow_core::FlowError::GraphInconsistency { .. }),
-                "unexpected error {e}"
-            );
+        vec![FlowCondition::forbids(NodeId(3), NodeId(3))],
+    ] {
+        let query = FlowQuery {
+            conditions,
+            ..FlowQuery::flow(NodeId(0), NodeId(4))
+        };
+        let sink = Arc::new(MemorySink::new());
+        let mut engine = build_engine(config(1));
+        let outcomes = {
+            let _r = ScopedRecorder::install(sink.clone());
+            engine.execute_batch(&icm, std::slice::from_ref(&query))
+        };
+        match &outcomes[0] {
+            QueryOutcome::Failed(FlowError::GraphInconsistency { detail }) => {
+                assert!(
+                    detail.contains("contradictory"),
+                    "unexpected error {detail}"
+                );
+            }
+            other => panic!("contradiction must fail, got {other:?}"),
         }
-        other => panic!("contradiction must fail, got {other:?}"),
+        assert_eq!(
+            sink.counter_value("sampler.steps"),
+            0,
+            "a rejected query must not spend sampling work"
+        );
+        assert_eq!(sink.events_named("serve.query.rejected").len(), 1);
+        assert_eq!(engine.stats().failed, 1);
     }
-    assert_eq!(
-        sink.counter_value("sampler.steps"),
-        0,
-        "a rejected query must not spend sampling work"
-    );
-    assert_eq!(sink.events_named("serve.query.rejected").len(), 1);
-    assert_eq!(engine.stats().failed, 1);
+}
+
+#[test]
+fn required_self_flow_serves_the_unconditioned_answer() {
+    let icm = small_icm();
+    let plain = FlowQuery::flow(NodeId(0), NodeId(4));
+    let vacuous = FlowQuery {
+        conditions: vec![FlowCondition::requires(NodeId(0), NodeId(0))],
+        ..plain.clone()
+    };
+    let mut engine = build_engine(config(3));
+    let outcomes = engine.execute_batch(&icm, &[plain, vacuous]);
+    let (a, b) = (answer(&outcomes[0]), answer(&outcomes[1]));
+    assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
+    assert_eq!(a.half_width.to_bits(), b.half_width.to_bits());
+    assert_eq!(a.samples, b.samples);
+    // One key, one exact-draw chain: every step is a retained sample.
+    let steps = engine.stats().steps;
+    assert_eq!(steps, a.samples, "{steps} steps for {} samples", a.samples);
 }
 
 #[test]
