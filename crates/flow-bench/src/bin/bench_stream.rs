@@ -27,7 +27,7 @@ use flow_bench::scaling_icm;
 use flow_graph::{DiGraph, NodeId};
 use flow_learn::summary::TimingAssumption;
 use flow_mcmc::McmcConfig;
-use flow_serve::{FlowQuery, QueryOutcome, ServeEngine};
+use flow_serve::{FlowQuery, QueryOutcome, ServeConfig, ServeEngine};
 use flow_stream::{EpochDelta, IngestConfig, Ingestor, ModelRegistry, SnapshotStore, StreamModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,15 +139,16 @@ fn main() {
         StreamModel::new(graph.clone(), TimingAssumption::AnyEarlier),
         Some(SnapshotStore::new(dir.clone())),
     );
-    let mut engine = match ServeEngine::builder()
-        .mcmc(McmcConfig {
+    let config = ServeConfig {
+        mcmc: McmcConfig {
             samples: SAMPLES,
             ..Default::default()
-        })
-        .default_tolerance(1.0)
-        .engine_seed(42)
-        .build()
-    {
+        },
+        default_tolerance: 1.0,
+        engine_seed: 42,
+        ..Default::default()
+    };
+    let mut engine = match ServeEngine::builder().config(config).build() {
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("error: invalid engine config: {e}");

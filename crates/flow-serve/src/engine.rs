@@ -92,89 +92,31 @@ impl ServeConfig {
 }
 
 /// Validating constructor for [`ServeEngine`]:
-/// `ServeEngine::builder().cache(..).model_fingerprint(..).shards(..).build()?`.
+/// `ServeEngine::builder().config(..).cache(..).model_fingerprint(..).build()?`.
+/// A [`ServeConfig`] is the one way to configure an engine.
 ///
-/// Every invalid combination is a typed [`FlowError::Config`] at build
-/// time — a zero-worker executor, a non-positive tolerance, a zero
-/// sample cap — instead of a panic or a silent misbehaviour at serve
-/// time.
+/// Every invalid configuration is a typed [`FlowError::Config`] at
+/// build time — a zero-worker executor, a non-positive tolerance, a
+/// zero sample cap — instead of a panic or a silent misbehaviour at
+/// serve time.
 #[derive(Default)]
 pub struct EngineBuilder {
     config: ServeConfig,
     cache: Option<ServeCache>,
-    explicit_cache_bytes: Option<usize>,
     model_fingerprint: Option<u64>,
 }
 
 impl EngineBuilder {
-    /// Replaces the whole base configuration (granular setters applied
-    /// afterwards still win).
+    /// Sets the engine configuration (default: `ServeConfig::default()`).
     #[must_use]
     pub fn config(mut self, config: ServeConfig) -> Self {
         self.config = config;
         self
     }
 
-    /// Baseline chain configuration (class + minimum samples).
-    #[must_use]
-    pub fn mcmc(mut self, mcmc: McmcConfig) -> Self {
-        self.config.mcmc = mcmc;
-        self
-    }
-
-    /// Tolerance applied when a query does not state one.
-    #[must_use]
-    pub fn default_tolerance(mut self, tolerance: f64) -> Self {
-        self.config.default_tolerance = tolerance;
-        self
-    }
-
-    /// Worker pool, admission policy, and retry policy.
-    #[must_use]
-    pub fn executor(mut self, executor: ExecutorConfig) -> Self {
-        self.config.executor = executor;
-        self
-    }
-
-    /// Per-chain circuit-breaker shape.
-    #[must_use]
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.config.breaker = breaker;
-        self
-    }
-
-    /// Estimate-cache byte budget (0 disables caching). Conflicts with
-    /// [`EngineBuilder::cache`]: a pre-populated cache already fixes
-    /// its budget.
-    #[must_use]
-    pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.explicit_cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Engine seed; chain seeds derive from it and each chain key.
-    #[must_use]
-    pub fn engine_seed(mut self, seed: u64) -> Self {
-        self.config.engine_seed = seed;
-        self
-    }
-
-    /// Hard per-plan cap on retained samples.
-    #[must_use]
-    pub fn max_samples(mut self, max_samples: usize) -> Self {
-        self.config.max_samples = max_samples;
-        self
-    }
-
-    /// Shard count for the sharded router (`1` = unsharded).
-    #[must_use]
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
     /// Starts the engine over a pre-populated (e.g. loaded-from-disk)
-    /// cache instead of a cold one.
+    /// cache instead of a cold one. The cache keeps its own byte
+    /// budget; `ServeConfig::cache_bytes` sizes only a cold cache.
     #[must_use]
     pub fn cache(mut self, cache: ServeCache) -> Self {
         self.cache = Some(cache);
@@ -194,22 +136,11 @@ impl EngineBuilder {
     /// Validates and builds the engine.
     pub fn build(self) -> FlowResult<ServeEngine> {
         let EngineBuilder {
-            mut config,
+            config,
             cache,
-            explicit_cache_bytes,
             model_fingerprint,
         } = self;
         let invalid = |detail: String| Err(FlowError::Config { detail });
-        if let Some(bytes) = explicit_cache_bytes {
-            if cache.is_some() {
-                return invalid(
-                    "both cache(..) and cache_bytes(..) were set; a pre-populated \
-                     cache already fixes its byte budget"
-                        .into(),
-                );
-            }
-            config.cache_bytes = bytes;
-        }
         if !(config.default_tolerance.is_finite() && config.default_tolerance > 0.0) {
             return invalid(format!(
                 "default_tolerance must be positive and finite, got {}",

@@ -11,9 +11,7 @@ use flow_graph::{partition_edges, NodeId};
 use flow_icm::{FlowCondition, Icm};
 use flow_mcmc::McmcConfig;
 use flow_obs::{JsonlSink, ScopedRecorder};
-use flow_serve::{
-    route_query, FlowQuery, QueryOutcome, Route, ServeCache, ServeConfig, ServeEngine,
-};
+use flow_serve::{route_query, FlowQuery, QueryOutcome, Route, ServeConfig, ServeEngine};
 
 /// Three disjoint communities: two diamonds (0–3, 4–7) and a path
 /// (8–10). Every community is a weak component, so `partition_edges`
@@ -75,7 +73,6 @@ fn shards_one_is_byte_identical_to_unsharded() {
     let mut unsharded = build(17, 1);
     let mut one = ServeEngine::builder()
         .config(config(17, 1))
-        .shards(1)
         .build()
         .expect("valid engine config");
     let a = unsharded.execute_batch(&icm, &queries);
@@ -322,37 +319,35 @@ fn shard_granular_swap_keeps_untouched_shard_units() {
 
 #[test]
 fn builder_rejects_invalid_configurations() {
-    match ServeEngine::builder().shards(0).build() {
+    let build_with = |edit: fn(&mut ServeConfig)| {
+        let mut config = ServeConfig::default();
+        edit(&mut config);
+        ServeEngine::builder().config(config).build()
+    };
+    match build_with(|c| c.shards = 0) {
         Err(FlowError::Config { detail }) => assert!(detail.contains("shard count"), "{detail}"),
         Err(other) => panic!("expected Config error, got {other:?}"),
         Ok(_) => panic!("zero shards must not build"),
     }
     assert!(matches!(
-        ServeEngine::builder().max_samples(0).build(),
+        build_with(|c| c.max_samples = 0),
         Err(FlowError::Config { .. })
     ));
     assert!(matches!(
-        ServeEngine::builder().default_tolerance(f64::NAN).build(),
+        build_with(|c| c.default_tolerance = f64::NAN),
         Err(FlowError::Config { .. })
     ));
     assert!(matches!(
-        ServeEngine::builder().default_tolerance(0.0).build(),
+        build_with(|c| c.default_tolerance = 0.0),
         Err(FlowError::Config { .. })
     ));
-    let mut workers = ServeConfig::default();
-    workers.executor.workers = 0;
-    match ServeEngine::builder().config(workers).build() {
+    match build_with(|c| c.executor.workers = 0) {
         Err(FlowError::Config { detail }) => {
             assert!(detail.contains("at least one worker"), "{detail}")
         }
         Err(other) => panic!("expected Config error, got {other:?}"),
         Ok(_) => panic!("a zero-worker executor must not build"),
     }
-    let conflict = ServeEngine::builder()
-        .cache(ServeCache::new(1 << 20))
-        .cache_bytes(1 << 20)
-        .build();
-    assert!(matches!(conflict, Err(FlowError::Config { .. })));
     // The happy path still builds.
     assert!(ServeEngine::builder().build().is_ok());
 }

@@ -78,7 +78,7 @@ pub use flow_twitter as twitter;
 /// b.add_edge(NodeId(1), NodeId(2)).expect("simple edge");
 /// let icm = Icm::with_uniform_probability(b.build(), 0.5);
 /// let mut engine = ServeEngine::builder()
-///     .shards(1)
+///     .config(ServeConfig::default())
 ///     .build()
 ///     .expect("default config is valid");
 /// let outcomes = engine.execute_batch(&icm, &[FlowQuery::flow(NodeId(0), NodeId(2))]);
