@@ -13,9 +13,9 @@
 //!   `debug_assert!` within reach.
 //! * **L5** — no bare `println!`/`eprintln!` in non-test core-crate
 //!   code: diagnostics route through the `flow-obs` recorder (events,
-//!   counters, the stderr summary sink), so console output stays a
-//!   sink/CLI concern. The flow-obs sink module and the `flow-exp` CLI
-//!   are the sanctioned printers and sit outside the lint's scope.
+//!   counters, spans), so console output stays a CLI concern. The
+//!   `flow-exp` CLI is the sanctioned printer and sits outside the
+//!   lint's scope.
 //! * **L6** — I/O error hygiene in the serving persistence layer: no
 //!   `.unwrap()`/`.expect(..)` and no discarded `Result` (`let _ =`,
 //!   trailing `.ok();`) on statements that touch the filesystem. A
@@ -138,29 +138,25 @@ impl LintScope {
     /// The workspace policy. L1/L3/L4 cover the core crates' library
     /// code; L2 covers the sampler/checkpoint/learn paths where
     /// bit-identical resume and seed-reproducibility are contractual.
-    /// L5 covers the core crates too, carving out the flow-obs sink
-    /// module — the one core-library file whose *job* is console
-    /// output. (The flow-exp CLI is not a core crate and so is exempt
-    /// by construction.)
+    /// L5 covers the core crates too, with no exemption: no core
+    /// library prints, and telemetry leaves through flow-obs sinks
+    /// that the CLI renders. (The flow-exp CLI is not a core crate and
+    /// so is exempt by construction.)
     pub fn for_path(rel: &str) -> Self {
         const DETERMINISM: [&str; 3] = [
             "crates/flow-mcmc/src/",
             "crates/flow-learn/src/",
             "crates/flow-stats/src/fenwick.rs",
         ];
-        /// The sanctioned printer: the flow-obs sink module renders
-        /// operator summaries to stderr by design.
-        const PRINT_EXEMPT: [&str; 1] = ["crates/flow-obs/src/sink.rs"];
         let core = in_core_scope(rel);
         let det = DETERMINISM.iter().any(|p| rel.starts_with(p));
-        let print_exempt = PRINT_EXEMPT.iter().any(|p| rel.starts_with(p));
         let persistence = SERVE_PERSISTENCE.iter().any(|p| rel.starts_with(p));
         LintScope {
             l1: core,
             l2: det,
             l3: core,
             l4: core,
-            l5: core && !print_exempt,
+            l5: core,
             l6: persistence,
             // L10 covers every crate's library and binary sources —
             // bench/CLI writers drift just as silently as core readers
@@ -414,8 +410,8 @@ fn l2_determinism(file: &SourceFile, findings: &mut Vec<Finding>) {
 
 /// Bare console printing in non-test core-crate code. Library crates
 /// report through the flow-obs recorder (events, counters, spans); the
-/// only sanctioned printers are the flow-obs sink module and the
-/// flow-exp CLI, both outside this lint's scope.
+/// only sanctioned printer is the flow-exp CLI, outside this lint's
+/// scope.
 fn l5_print_sites(file: &SourceFile, findings: &mut Vec<Finding>) {
     const PRINTS: [(&str, &str); 2] = [
         (
@@ -959,12 +955,12 @@ mod tests {
     }
 
     #[test]
-    fn l5_scope_carves_out_sinks_and_cli() {
+    fn l5_scope_carves_out_only_the_cli() {
         assert!(LintScope::for_path("crates/flow-mcmc/src/sampler.rs").l5);
         assert!(LintScope::for_path("crates/flow-obs/src/recorder.rs").l5);
         assert!(
-            !LintScope::for_path("crates/flow-obs/src/sink.rs").l5,
-            "the sink module is the sanctioned printer"
+            LintScope::for_path("crates/flow-obs/src/sink.rs").l5,
+            "no core file is a sanctioned printer, the sinks included"
         );
         assert!(
             !LintScope::for_path("crates/flow-exp/src/output.rs").l5,

@@ -26,7 +26,8 @@
 //!
 //! `--trace PATH` records the run's structured event stream to a
 //! deterministic JSONL file (same seed → byte-identical trace);
-//! `--metrics` prints a counter/timing summary to stderr on exit.
+//! `--metrics` prints the `flow_obs::StatsAggregator` text snapshot
+//! (quantiles, counters, gauges, event counts) to stderr on exit.
 //! `report` renders a recorded trace back into ascii tables; with
 //! `--by-query` it instead reconstructs the causal span tree per query
 //! trace and prints each query's critical path and phase breakdown.
@@ -358,18 +359,18 @@ fn main() {
         Some(d) => Output::to_dir(d),
         None => Output::stdout_only(),
     };
-    // Telemetry: a deterministic JSONL sink for --trace, a stderr
-    // summary sink for --metrics, both behind one global recorder.
+    // Telemetry: a deterministic JSONL sink for --trace, a stats
+    // aggregator for --metrics, both behind one global recorder.
     let jsonl = trace_path
         .as_ref()
         .map(|_| Arc::new(flow_obs::JsonlSink::new()));
-    let summary = metrics.then(|| Arc::new(flow_obs::StderrSummarySink::new()));
+    let stats = metrics.then(|| Arc::new(flow_obs::StatsAggregator::new()));
     {
         let mut sinks: Vec<Arc<dyn flow_obs::Recorder>> = Vec::new();
         if let Some(j) = &jsonl {
             sinks.push(j.clone());
         }
-        if let Some(s) = &summary {
+        if let Some(s) = &stats {
             sinks.push(s.clone());
         }
         match sinks.len() {
@@ -402,8 +403,8 @@ fn main() {
             Err(e) => eprintln!("warning: cannot write trace {path}: {e}"),
         }
     }
-    if let Some(sink) = &summary {
-        sink.print();
+    if let Some(stats) = &stats {
+        eprintln!("{}", stats.snapshot().render_text());
     }
     println!(
         "\ndone ({}) in {:.1}s  [seed {}, scale {}]",

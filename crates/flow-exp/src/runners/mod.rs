@@ -22,6 +22,7 @@ pub mod serve;
 pub mod stream;
 pub mod table1;
 pub mod table3;
+pub mod trace_reader;
 pub mod trace_report;
 
 /// Common runner configuration.

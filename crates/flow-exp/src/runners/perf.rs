@@ -32,252 +32,55 @@
 //! trajectory file, so the history of runs stays greppable.
 
 use crate::Output;
+use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-// ------------------------------------------------------------ tiny JSON
-
-/// A minimal JSON value for bench/baseline files: objects, numbers,
-/// strings, booleans. Arrays and nulls are parsed but ignored by the
-/// flattener (no bench metric uses them).
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A JSON number.
-    Num(f64),
-    /// A JSON string.
-    Str(String),
-    /// A JSON boolean.
-    Bool(bool),
-    /// A JSON object in file order.
-    Obj(Vec<(String, Json)>),
-    /// A JSON array.
-    Arr(Vec<Json>),
-    /// JSON null.
-    Null,
-}
-
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Cur<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Option<Json> {
-        self.skip_ws();
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => self.parse_string().map(Json::Str),
-            b't' => self.keyword("true").map(|_| Json::Bool(true)),
-            b'f' => self.keyword("false").map(|_| Json::Bool(false)),
-            b'n' => self.keyword("null").map(|_| Json::Null),
-            _ => self.parse_number().map(Json::Num),
-        }
-    }
-
-    fn keyword(&mut self, word: &str) -> Option<()> {
-        let end = self.i.checked_add(word.len())?;
-        if self.b.get(self.i..end)? == word.as_bytes() {
-            self.i = end;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_number(&mut self) -> Option<f64> {
-        let start = self.i;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.i += 1;
-        }
-        std::str::from_utf8(self.b.get(start..self.i)?)
-            .ok()?
-            .parse()
-            .ok()
-    }
-
-    fn parse_string(&mut self) -> Option<String> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        let mut out = String::new();
-        loop {
-            let c = self.peek()?;
-            self.i += 1;
-            match c {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = self.peek()?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let end = self.i.checked_add(4)?;
-                            let hex = std::str::from_utf8(self.b.get(self.i..end)?).ok()?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            self.i = end;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return None,
-                    }
-                }
-                c if c < 0x80 => out.push(c as char),
-                _ => {
-                    let tail = self.b.get(self.i.checked_sub(1)?..)?;
-                    let ch = std::str::from_utf8(tail).ok()?.chars().next()?;
-                    out.push(ch);
-                    self.i = self.i.checked_sub(1)?.checked_add(ch.len_utf8())?;
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Option<Json> {
-        if !self.eat(b'{') {
-            return None;
-        }
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Some(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            if !self.eat(b':') {
-                return None;
-            }
-            let value = self.parse_value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            if self.eat(b'}') {
-                return Some(Json::Obj(pairs));
-            }
-            return None;
-        }
-    }
-
-    fn parse_array(&mut self) -> Option<Json> {
-        if !self.eat(b'[') {
-            return None;
-        }
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            if self.eat(b']') {
-                return Some(Json::Arr(items));
-            }
-            return None;
-        }
-    }
-}
-
-/// Parses a whole JSON document (bench file or baseline).
-pub fn parse_json(text: &str) -> Option<Json> {
-    let mut cur = Cur {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = cur.parse_value()?;
-    cur.skip_ws();
-    if cur.i >= cur.b.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-impl Json {
-    /// Object member lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric view.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 // ------------------------------------------------------- normalization
+
+/// Numeric view of a JSON value; integers widen to `f64`.
+fn number(v: &Value) -> Option<f64> {
+    match v {
+        Value::U64(n) => Some(*n as f64),
+        Value::I64(n) => Some(*n as f64),
+        Value::F64(n) => Some(*n),
+        _ => None,
+    }
+}
+
+/// String view of a JSON value.
+fn string(v: &Value) -> Option<&str> {
+    match v {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
 
 /// Flattens every numeric (and boolean, as 0/1) leaf of a bench file
 /// into `prefix.<dotted.path>` keys. The prefix is the file's `bench`
 /// field, so metrics from different bench binaries never collide.
-pub fn flatten_metrics(doc: &Json, prefix: &str) -> BTreeMap<String, f64> {
+/// Strings, arrays and nulls are not metrics.
+pub fn flatten_metrics(doc: &Value, prefix: &str) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     flatten_into(doc, prefix, &mut out);
     out
 }
 
-fn flatten_into(v: &Json, path: &str, out: &mut BTreeMap<String, f64>) {
+fn flatten_into(v: &Value, path: &str, out: &mut BTreeMap<String, f64>) {
     match v {
-        Json::Num(n) => {
-            out.insert(path.to_string(), *n);
-        }
-        Json::Bool(b) => {
+        Value::Bool(b) => {
             out.insert(path.to_string(), if *b { 1.0 } else { 0.0 });
         }
-        Json::Obj(pairs) => {
+        Value::Object(pairs) => {
             for (k, child) in pairs {
-                let sub = format!("{path}.{k}");
-                flatten_into(child, &sub, out);
+                flatten_into(child, &format!("{path}.{k}"), out);
             }
         }
-        Json::Str(_) | Json::Arr(_) | Json::Null => {}
+        _ => {
+            if let Some(n) = number(v) {
+                out.insert(path.to_string(), n);
+            }
+        }
     }
 }
 
@@ -286,13 +89,13 @@ fn flatten_into(v: &Json, path: &str, out: &mut BTreeMap<String, f64>) {
 pub fn load_bench_metrics(path: &str) -> Result<BTreeMap<String, f64>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read bench file {path}: {e}"))?;
-    let doc = parse_json(&text).ok_or_else(|| format!("bench file {path} is not valid JSON"))?;
+    let doc: Value =
+        serde_json::from_str(&text).map_err(|_| format!("bench file {path} is not valid JSON"))?;
     let bench = doc
         .get("bench")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("bench file {path} has no \"bench\" name"))?
-        .to_string();
-    Ok(flatten_metrics(&doc, &bench))
+        .and_then(string)
+        .ok_or_else(|| format!("bench file {path} has no \"bench\" name"))?;
+    Ok(flatten_metrics(&doc, bench))
 }
 
 // ------------------------------------------------------------ baseline
@@ -319,24 +122,24 @@ pub struct BaselineMetric {
 
 /// Parses `perf-baseline.json` (schema `flow-perf/baseline-v1`).
 pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, BaselineMetric>, String> {
-    let doc = parse_json(text).ok_or("baseline is not valid JSON")?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+    let doc: Value = serde_json::from_str(text).map_err(|_| "baseline is not valid JSON")?;
+    let schema = doc.get("schema").and_then(string).unwrap_or("");
     let expected = flow_core::schema::PERF_BASELINE.tag();
     if schema != expected {
         return Err(format!(
             "unsupported baseline schema {schema:?} (expected {expected:?})"
         ));
     }
-    let Some(Json::Obj(metrics)) = doc.get("metrics") else {
+    let Some(Value::Object(metrics)) = doc.get("metrics") else {
         return Err("baseline has no \"metrics\" object".into());
     };
     let mut out = BTreeMap::new();
     for (name, m) in metrics {
         let value = m
             .get("value")
-            .and_then(Json::as_f64)
+            .and_then(number)
             .ok_or_else(|| format!("baseline metric {name} has no numeric value"))?;
-        let direction = match m.get("direction").and_then(Json::as_str) {
+        let direction = match m.get("direction").and_then(string) {
             Some("higher") => Direction::Higher,
             Some("lower") => Direction::Lower,
             other => {
@@ -345,7 +148,7 @@ pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, BaselineMetric>, St
                 ))
             }
         };
-        let noise_pct = m.get("noise_pct").and_then(Json::as_f64).unwrap_or(20.0);
+        let noise_pct = m.get("noise_pct").and_then(number).unwrap_or(20.0);
         out.insert(
             name.clone(),
             BaselineMetric {
@@ -578,7 +381,7 @@ mod tests {
             "{{\"bench\":\"sampler\",\"sampler\":{{\"steps_per_sec_disabled\":{sps}}},\
              \"disabled_path\":{{\"overhead_pct\":{overhead}}}}}"
         );
-        let doc = parse_json(&text).unwrap();
+        let doc: Value = serde_json::from_str(&text).unwrap();
         flatten_metrics(&doc, "sampler")
     }
 
@@ -612,16 +415,17 @@ mod tests {
     #[test]
     fn missing_metric_is_reported_not_ignored() {
         let baseline = parse_baseline(BASELINE).unwrap();
-        let doc = parse_json("{\"bench\":\"sampler\",\"sampler\":{}}").unwrap();
+        let doc: Value = serde_json::from_str("{\"bench\":\"sampler\",\"sampler\":{}}").unwrap();
         let rows = diff_metrics(&baseline, &flatten_metrics(&doc, "sampler"));
         assert!(rows.iter().all(|r| r.current.is_none()));
     }
 
     #[test]
     fn flatten_walks_nested_objects_and_booleans() {
-        let doc =
-            parse_json("{\"bench\":\"x\",\"a\":{\"b\":{\"c\":2.5}},\"ok\":true,\"name\":\"skip\"}")
-                .unwrap();
+        let doc: Value = serde_json::from_str(
+            "{\"bench\":\"x\",\"a\":{\"b\":{\"c\":2.5}},\"ok\":true,\"name\":\"skip\"}",
+        )
+        .unwrap();
         let m = flatten_metrics(&doc, "x");
         assert_eq!(m.get("x.a.b.c"), Some(&2.5));
         assert_eq!(m.get("x.ok"), Some(&1.0));
@@ -634,11 +438,8 @@ mod tests {
         let a = trajectory_line("ci", &m);
         let b = trajectory_line("ci", &m);
         assert_eq!(a, b);
-        let doc = parse_json(&a).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("flow-perf/run-v1")
-        );
+        let doc: Value = serde_json::from_str(&a).unwrap();
+        assert_eq!(doc.get("schema").and_then(string), Some("flow-perf/run-v1"));
         assert!(doc.get("metrics").is_some());
     }
 

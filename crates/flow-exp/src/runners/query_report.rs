@@ -19,8 +19,8 @@
 //! Everything here is a pure function of the trace file: no clocks, no
 //! ordering assumptions beyond the sink's per-stream determinism.
 
+use crate::runners::trace_reader::{TraceEvent, TraceValue};
 use crate::Output;
-use flow_obs::{TraceEvent, TraceValue};
 use std::collections::BTreeMap;
 
 /// One node of a reconstructed span tree.
@@ -314,7 +314,8 @@ pub fn render_by_query(events: &[TraceEvent], out: &Output) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flow_obs::{parse_trace, Event, JsonlSink, Recorder};
+    use crate::runners::trace_reader::parse_trace;
+    use flow_obs::{Event, JsonlSink, Recorder};
 
     fn ev(sink: &JsonlSink, e: Event) {
         sink.event(&e);

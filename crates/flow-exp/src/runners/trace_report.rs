@@ -4,12 +4,12 @@
 //! of structured events keyed by `(chain, step)`. This runner reads one
 //! back and summarizes it for a human: event counts, per-chain
 //! lifecycle, health incidents (watchdog/budget events), and the final
-//! merge line if present. It exercises the same `flow_obs::trace`
-//! parser the determinism CI job relies on, so a trace that renders
-//! here is guaranteed replay-comparable.
+//! merge line if present. Lines are read with
+//! [`super::trace_reader`], which skips unparseable ones, so the intact
+//! prefix of a torn trace still renders.
 
+use crate::runners::trace_reader::{parse_trace, TraceEvent};
 use crate::Output;
-use flow_obs::{parse_trace, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Event names that indicate degraded chain health; surfaced in their

@@ -195,10 +195,11 @@ fn timed_estimator_spans_pair_and_register() {
     assert_eq!(enter_names, exit_names);
     assert!(enter_names.iter().any(|n| n == "timed.burn_in"));
     assert!(enter_names.iter().any(|n| n == "timed.sampling"));
+    let snapshot = sink.snapshot();
     for phase in ["timed.burn_in", "timed.sampling"] {
-        let stat = sink
-            .registry()
-            .timing_stat(phase)
+        let stat = snapshot
+            .quantiles
+            .get(phase)
             .unwrap_or_else(|| panic!("no timing for {phase}"));
         assert_eq!(stat.count, 1, "{phase} ran once");
     }

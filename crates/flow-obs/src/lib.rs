@@ -8,14 +8,17 @@
 //! * a [`Recorder`] trait with a global / thread-local handle whose
 //!   disabled path is one relaxed `AtomicBool` load plus a branch
 //!   ([`enabled`]) — hot-loop instrumentation is near-free when off;
-//! * a [`MetricsRegistry`] of counters, gauges, and fixed-bucket
-//!   histograms;
 //! * RAII [`Span`] timers for phase profiling (burn-in, thinning,
 //!   Fenwick rebuild, checkpoint capture/resume, joint-Bayes sweeps);
-//! * sinks: [`MemorySink`] (tests), [`StderrSummarySink`] (operators),
-//!   and [`JsonlSink`] — a deterministic JSONL event stream keyed by
-//!   `(chain, step)` rather than wall-clock, so traces from two runs of
-//!   one seed are byte-identical and replay-comparable.
+//! * the [`StatsAggregator`], the one place counters, gauges,
+//!   histograms and timings are aggregated: windowed counters and
+//!   fixed-memory [`QuantileSketch`]es, rendered as text (`repro
+//!   --metrics`) or JSON (`repro serve --stats-out`);
+//! * sinks: [`MemorySink`] (tests; an event log beside an embedded
+//!   aggregator), [`JsonlSink`] — a deterministic JSONL event stream
+//!   keyed by `(chain, step)` rather than wall-clock, so traces from
+//!   two runs of one seed are byte-identical and replay-comparable —
+//!   and the [`MultiSink`] tee.
 //!
 //! ## Quickstart
 //!
@@ -42,20 +45,16 @@
 pub mod agg;
 pub mod event;
 pub mod recorder;
-pub mod registry;
 pub mod sink;
 pub mod span;
-pub mod trace;
 
 pub use agg::{QuantileSketch, StatsAggregator, StatsSnapshot, WindowedCounter};
 pub use event::{Event, FieldValue};
 pub use recorder::{
     current_recorder, enabled, set_global, ChainContext, Recorder, ScopedRecorder, TraceContext,
 };
-pub use registry::{FixedHistogram, MetricsRegistry, MetricsSnapshot, TimingStat};
-pub use sink::{JsonlSink, MemorySink, MultiSink, StderrSummarySink};
+pub use sink::{JsonlSink, MemorySink, MultiSink};
 pub use span::Span;
-pub use trace::{parse_line, parse_trace, TraceEvent, TraceValue};
 
 /// Records a structured event. The closure runs only when a recorder
 /// is installed, so event construction costs nothing when telemetry is
@@ -102,7 +101,7 @@ pub fn gauge(name: &'static str, value: f64) {
     recorder::with_recorder(|r| r.gauge(name, value));
 }
 
-/// Records one observation into the named fixed-bucket histogram.
+/// Records one observation on the named histogram channel.
 #[inline]
 pub fn histogram(name: &'static str, value: f64) {
     if !enabled() {
@@ -177,7 +176,7 @@ mod tests {
         assert!(!enabled());
         counter("c", 100); // dropped: no recorder
         assert_eq!(sink.counter_value("c"), 5);
-        assert_eq!(sink.registry().gauge_value("g"), Some(0.5));
+        assert_eq!(sink.snapshot().gauges.get("g"), Some(&0.5));
         assert_eq!(sink.events_named("e").len(), 1);
     }
 
@@ -270,8 +269,7 @@ mod tests {
         assert_eq!(enters[0].chain, Some(1));
         assert_eq!(enters[0].step, Some(500));
         assert_eq!(exits[0].chain, Some(1));
-        let t = sink.registry().timing_stat("mcmc.burn_in").unwrap();
-        assert_eq!(t.count, 1);
+        assert_eq!(sink.snapshot().quantiles["mcmc.burn_in"].count, 1);
     }
 
     #[test]
@@ -284,7 +282,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let _r = ScopedRecorder::install(sink.clone());
         assert!(sink.events().is_empty());
-        assert!(sink.registry().timing_stat("never.recorded").is_none());
+        assert!(!sink.snapshot().quantiles.contains_key("never.recorded"));
     }
 
     #[test]
@@ -320,29 +318,5 @@ mod tests {
             });
             assert_eq!(sink.render(), reference);
         }
-    }
-
-    #[test]
-    fn rendered_trace_round_trips_through_the_parser() {
-        let _g = guard();
-        let sink = Arc::new(JsonlSink::new());
-        {
-            let _r = ScopedRecorder::install(sink.clone());
-            event(|| Event::new("run.start").u64("seed", 42));
-            event(|| {
-                Event::new("watchdog.stall")
-                    .chain(1)
-                    .step(900)
-                    .f64("acceptance_rate", 0.0125)
-            });
-        }
-        let text = sink.render();
-        let parsed = parse_trace(&text);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].name, "run.start");
-        assert_eq!(parsed[1].name, "watchdog.stall");
-        assert_eq!(parsed[1].chain, Some(1));
-        assert_eq!(parsed[1].step, Some(900));
-        assert_eq!(parsed[1].num("acceptance_rate"), Some(0.0125));
     }
 }

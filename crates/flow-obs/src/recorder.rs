@@ -34,7 +34,7 @@ pub trait Recorder: Send + Sync {
         let _ = (name, value);
     }
 
-    /// Records one observation into the named fixed-bucket histogram.
+    /// Records one observation on the named histogram channel.
     fn histogram(&self, name: &'static str, value: f64) {
         let _ = (name, value);
     }

@@ -1,14 +1,11 @@
 //! Recorder implementations (sinks): in-memory for tests, a
-//! human-readable stderr summary for operators, a deterministic JSONL
-//! trace for replay comparison, and a tee combinator.
-//!
-//! This file is the one place in the core crates allowed to print
-//! directly (flow-analyze lint L5 exempts it): the stderr summary sink
-//! is *the* sanctioned console output path for library telemetry.
+//! deterministic JSONL trace for replay comparison, and a tee
+//! combinator. Aggregated metrics come from [`StatsAggregator`], which
+//! [`MemorySink`] embeds for its non-event channels.
 
+use crate::agg::{StatsAggregator, StatsSnapshot};
 use crate::event::{Event, FieldValue};
 use crate::recorder::Recorder;
-use crate::registry::{MetricsRegistry, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -20,11 +17,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 // ---------------------------------------------------------- MemorySink
 
-/// Buffers everything in memory; the sink tests assert against.
+/// Buffers every event in memory and aggregates the other channels in
+/// an embedded [`StatsAggregator`]; the sink tests assert against.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,
-    registry: MetricsRegistry,
+    stats: StatsAggregator,
 }
 
 impl MemorySink {
@@ -49,12 +47,14 @@ impl MemorySink {
 
     /// Current value of a counter routed through this sink.
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.registry.counter_value(name)
+        self.stats.counter_total(name)
     }
 
-    /// The metrics registry backing the non-event channels.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// Point-in-time copy of the counters, gauges, histograms and
+    /// timings routed through this sink. Its event counts stay empty:
+    /// the events themselves are in [`MemorySink::events`].
+    pub fn snapshot(&self) -> StatsSnapshot {
+        self.stats.snapshot()
     }
 }
 
@@ -64,87 +64,19 @@ impl Recorder for MemorySink {
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        self.registry.add_counter(name, delta);
+        self.stats.counter(name, delta);
     }
 
     fn gauge(&self, name: &'static str, value: f64) {
-        self.registry.set_gauge(name, value);
+        self.stats.gauge(name, value);
     }
 
     fn histogram(&self, name: &'static str, value: f64) {
-        self.registry.record_histogram(name, value);
+        self.stats.histogram(name, value);
     }
 
     fn timing(&self, name: &'static str, nanos: u64) {
-        self.registry.record_timing(name, nanos);
-    }
-}
-
-// --------------------------------------------------- StderrSummarySink
-
-/// Aggregates every channel and renders a human-readable summary on
-/// demand (the `repro --metrics` flag prints it at exit).
-#[derive(Debug, Default)]
-pub struct StderrSummarySink {
-    registry: MetricsRegistry,
-    event_counts: Mutex<BTreeMap<String, u64>>,
-}
-
-impl StderrSummarySink {
-    /// Creates an empty summary sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Point-in-time copy of the aggregated metrics.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-
-    /// Renders the summary: event counts by name, then every metric
-    /// channel. Deterministic given deterministic inputs (BTreeMap
-    /// ordering), except for the wall-clock timing values.
-    pub fn render(&self) -> String {
-        let mut s = String::from("== flow-obs summary ==\n");
-        let counts = lock(&self.event_counts);
-        if !counts.is_empty() {
-            s.push_str("events:\n");
-            for (name, n) in counts.iter() {
-                let _ = writeln!(s, "  {name:<32} {n}");
-            }
-        }
-        drop(counts);
-        s.push_str(&self.registry.snapshot().render());
-        s
-    }
-
-    /// Prints the summary to stderr.
-    pub fn print(&self) {
-        eprintln!("{}", self.render());
-    }
-}
-
-impl Recorder for StderrSummarySink {
-    fn event(&self, event: &Event) {
-        *lock(&self.event_counts)
-            .entry(event.name.to_owned())
-            .or_insert(0) += 1;
-    }
-
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.registry.add_counter(name, delta);
-    }
-
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.registry.set_gauge(name, value);
-    }
-
-    fn histogram(&self, name: &'static str, value: f64) {
-        self.registry.record_histogram(name, value);
-    }
-
-    fn timing(&self, name: &'static str, nanos: u64) {
-        self.registry.record_timing(name, nanos);
+        self.stats.timing(name, nanos);
     }
 }
 
@@ -324,8 +256,8 @@ fn push_json_str(s: &mut String, raw: &str) {
 
 // ------------------------------------------------------------ MultiSink
 
-/// Fans every channel out to several sinks (e.g. JSONL trace + stderr
-/// summary in the same run).
+/// Fans every channel out to several sinks (e.g. a JSONL trace and a
+/// stats aggregator in the same run).
 pub struct MultiSink {
     sinks: Vec<Arc<dyn Recorder>>,
 }
@@ -466,8 +398,10 @@ mod tests {
         assert_eq!(sink.events().len(), 1);
         assert_eq!(sink.events_named("e1").len(), 1);
         assert_eq!(sink.counter_value("c"), 3);
-        assert_eq!(sink.registry().gauge_value("g"), Some(1.5));
-        assert_eq!(sink.registry().timing_stat("t").unwrap().count, 1);
+        let snap = sink.snapshot();
+        assert_eq!(snap.gauges.get("g"), Some(&1.5));
+        assert_eq!(snap.quantiles["h"].count, 1);
+        assert_eq!(snap.quantiles["t"].count, 1);
     }
 
     #[test]
@@ -481,16 +415,5 @@ mod tests {
         assert_eq!(b.events().len(), 1);
         assert_eq!(a.counter_value("c"), 2);
         assert_eq!(b.counter_value("c"), 2);
-    }
-
-    #[test]
-    fn stderr_summary_renders_event_counts() {
-        let s = StderrSummarySink::new();
-        s.event(&Event::new("chain.finish"));
-        s.event(&Event::new("chain.finish"));
-        s.counter("sampler.steps", 10);
-        let text = s.render();
-        assert!(text.contains("chain.finish"));
-        assert!(text.contains("sampler.steps"));
     }
 }

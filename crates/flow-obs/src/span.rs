@@ -6,7 +6,7 @@
 //! logical `(chain, step)` coordinates — plus one nondeterministic
 //! wall-clock duration on the [`crate::Recorder::timing`] channel.
 //! Deterministic sinks keep the events and ignore the duration, so
-//! traces stay byte-comparable while the stderr summary still shows
+//! traces stay byte-comparable while the stats aggregator still shows
 //! where the time went.
 
 use crate::event::Event;
