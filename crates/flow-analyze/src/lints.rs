@@ -16,7 +16,8 @@
 //!   counters, spans), so console output stays a CLI concern. The
 //!   `flow-exp` CLI is the sanctioned printer and sits outside the
 //!   lint's scope.
-//! * **L6** — I/O error hygiene in the serving persistence layer: no
+//! * **L6** — I/O error hygiene in the persistence layer (the
+//!   `flow_core::persist` primitive and the serve cache): no
 //!   `.unwrap()`/`.expect(..)` and no discarded `Result` (`let _ =`,
 //!   trailing `.ok();`) on statements that touch the filesystem. A
 //!   panic there turns a recoverable cache corruption into an outage
@@ -52,10 +53,14 @@ pub const CORE: [&str; 9] = [
     "crates/flow-stream/src/",
 ];
 
-/// The serving persistence layer: where crash-safe cache recovery
+/// The persistence layer: the `flow_core::persist` primitive and the
+/// serve cache's quarantining loader, where crash-safe recovery
 /// (DESIGN.md §12) makes I/O error handling contractual (L6's scope;
 /// L8 defers to L6 there).
-pub const SERVE_PERSISTENCE: [&str; 1] = ["crates/flow-serve/src/cache"];
+pub const SERVE_PERSISTENCE: [&str; 2] = [
+    "crates/flow-core/src/persist",
+    "crates/flow-serve/src/cache",
+];
 
 /// True for files in the core crates' library code — the scope of the
 /// interprocedural lints L8 and L9 (and of L7's panic-site universe).
@@ -997,6 +1002,7 @@ mod tests {
     #[test]
     fn l6_scope_is_the_serving_persistence_layer() {
         assert!(LintScope::for_path("crates/flow-serve/src/cache.rs").l6);
+        assert!(LintScope::for_path("crates/flow-core/src/persist.rs").l6);
         assert!(
             !LintScope::for_path("crates/flow-serve/src/engine.rs").l6,
             "non-persistence serving code answers to L1 alone"

@@ -16,8 +16,9 @@
 //!   answer comes from the estimate cache.
 //!
 //! A fourth section prices the resilience layer on a clean run: the
-//! cold batch plus a cache save/load cycle with retry, breaker, and
-//! entry checksums disabled versus fully enabled. A batch takes tens
+//! cold batch plus a cache save/load cycle with retry, admission and
+//! breaker disabled versus fully enabled (both sides save and load
+//! through the same checksummed persistence primitive). A batch takes tens
 //! of milliseconds, where one rep varies by about 10% on a shared
 //! 2-vCPU guest, so the section runs [`RESILIENCE_PAIRS`] pairs of one
 //! bare and one resilient rep, back to back in alternating order, and
@@ -234,7 +235,7 @@ fn main() {
         })
         .count();
 
-    eprintln!("[4/5] resilience overhead: retry+breaker+checksums off vs on ...");
+    eprintln!("[4/5] resilience overhead: retry+admission+breaker off vs on ...");
     let dir = std::env::temp_dir().join(format!("bench-serve-resilience-{}", std::process::id()));
     let resilience_rep = |enabled: bool| -> f64 {
         std::fs::remove_dir_all(&dir).ok();
@@ -260,7 +261,7 @@ fn main() {
         let mut engine = build_engine(config);
         let start = Instant::now();
         let outcomes = engine.execute_batch(&icm, &queries);
-        let saved = engine.cache().save_to_dir_opts(&dir, enabled);
+        let saved = engine.cache().save_to_dir(&dir);
         let loaded = saved.and_then(|()| ServeCache::load_from_dir(&dir, 8 << 20));
         let elapsed = start.elapsed().as_secs_f64();
         let all_answered = outcomes

@@ -8,9 +8,10 @@
 //!   (parse + validate + buffer), reported as events/sec;
 //! * **seal** — `ModelRegistry::seal_epoch` per epoch: the incremental
 //!   Beta/characteristic-table update plus the checksummed snapshot
-//!   write (tmp + rename);
-//! * **recover** — `SnapshotStore::load_latest` over the full store,
-//!   the cold-start path a restarted server pays;
+//!   write through `flow_core::persist` (which also prunes the store
+//!   to its two newest epochs);
+//! * **recover** — `SnapshotStore::load_latest` over the store, the
+//!   cold-start path a restarted server pays;
 //! * **swap** — `ModelRegistry::swap_into` a warm `ServeEngine`,
 //!   counting the stale cache entries reclaimed.
 //!
@@ -188,7 +189,7 @@ fn main() {
     let seal_mean_ms = seal_s * 1_000.0 / EPOCHS as f64;
     let swap_mean_us = swap_s * 1_000_000.0 / EPOCHS as f64;
 
-    eprintln!("[3/4] recover: load_latest over the full snapshot store ...");
+    eprintln!("[3/4] recover: load_latest over the snapshot store ...");
     let store = SnapshotStore::new(dir.clone());
     let start = Instant::now();
     let recovered = match store.load_latest() {

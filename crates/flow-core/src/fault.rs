@@ -22,12 +22,15 @@
 //! | `sampler.kill_chain`         | flow-mcmc    | chain dies mid-run                   |
 //! | `twitter.truncate_line`      | flow-twitter | ingest line truncated mid-record     |
 //! | `checkpoint.corrupt`         | flow-mcmc    | checkpoint payload corrupted         |
-//! | `serve.cache_read_corrupt`   | flow-serve   | cache file corrupted when read back  |
-//! | `serve.cache_write_corrupt`  | flow-serve   | cache persistence torn mid-write     |
+//! | `persist.torn_write`         | flow-core    | persisted file torn mid-write        |
+//! | `persist.torn_read`          | flow-core    | persisted file's tail lost on read   |
 //! | `serve.worker_stall`         | flow-serve   | serving worker stalls on a plan      |
 //! | `serve.queue_saturate`       | flow-serve   | admission budget saturated per plan  |
 //! | `stream.event_corrupt`       | flow-stream  | ingest event line corrupted mid-read |
-//! | `stream.swap_torn_write`     | flow-stream  | epoch snapshot write torn mid-file   |
+//!
+//! The two `persist.*` points sit in [`crate::persist`], so they drill
+//! every store at once: the serve cache, the stream snapshots and the
+//! experiment checkpoints.
 
 /// What an armed fault point does, and when.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,15 +2,15 @@
 //!
 //! One accumulator shared by every subsystem that needs a
 //! deterministic, dependency-free, platform-stable hash: serving cache
-//! keys and model fingerprints (`flow-serve`), persisted-entry
-//! checksums, and streaming snapshot checksums (`flow-stream`). Keeping
+//! keys and model fingerprints (`flow-serve`) and the record checksums
+//! of every persisted file ([`crate::persist`]). Keeping
 //! the implementation here guarantees the serving fingerprint and the
 //! streaming registry fingerprint can never drift apart.
 //!
 //! FNV-1a is not collision-resistant; callers must treat equal hashes
 //! as "probably equal" and guard correctness with full-value equality
 //! (the serving cache does) or use it only as a corruption check where
-//! an adversary is not in the threat model (snapshot CRCs).
+//! an adversary is not in the threat model (persisted-record checksums).
 
 /// 64-bit FNV-1a accumulator.
 #[derive(Clone, Copy, Debug)]

@@ -11,7 +11,9 @@
 //!   `fault-inject` cargo feature, used by the robustness test suite
 //!   to prove that injected faults surface as typed errors or flagged
 //!   partial results — never panics.
-
+//! * The persistence primitive ([`persist`]): the one atomic,
+//!   checksummed record-file writer and reader behind every on-disk
+//!   store.
 //! * The [`debug_invariant!`] runtime-check macro behind each crate's
 //!   `debug-invariants` cargo feature: free in release builds, a
 //!   panicking tripwire in checked builds.
@@ -19,6 +21,7 @@
 pub mod error;
 pub mod fault;
 pub mod fnv;
+pub mod persist;
 pub mod schema;
 
 pub use error::{FlowError, FlowResult, Transience};

@@ -10,7 +10,7 @@
 //!
 //! Two rendering conventions predate this module and both survive:
 //!
-//! * **line headers** (`"flowserve-cache v3"`) — the first line of a
+//! * **line headers** (`"flowserve-cache v4"`) — the first line of a
 //!   text artifact, rendered by [`SchemaId::line_header`] and checked
 //!   by [`parse_header`];
 //! * **tags** (`"flow-obs/stats-v1"`) — the `"schema"` field of a JSON
@@ -86,12 +86,19 @@ pub fn expect_header(line: &str, line_no: usize, expected: SchemaId) -> FlowResu
     }
 }
 
-/// The flow-serve on-disk chain-statistics cache (`cache.txt`). v3
-/// added the shard field to the persisted query-key text form.
-pub const SERVE_CACHE: SchemaId = SchemaId::new("flowserve-cache", 3);
+/// The flow-serve on-disk chain-statistics cache (`cache.flowserve`).
+/// v3 added the shard field to the persisted query-key text form; v4
+/// moved the file onto [`crate::persist`] records.
+pub const SERVE_CACHE: SchemaId = SchemaId::new("flowserve-cache", 4);
 
-/// The flow-stream epoch snapshot files (`epoch-*.snap`).
-pub const STREAM_SNAPSHOT: SchemaId = SchemaId::new("flowstream-snapshot", 1);
+/// The flow-stream epoch snapshot files (`epoch-*.snap`). v2 moved the
+/// file onto one [`crate::persist`] record and dropped the advisory
+/// `fingerprint=` line.
+pub const STREAM_SNAPSHOT: SchemaId = SchemaId::new("flowstream-snapshot", 2);
+
+/// flow-exp's resumable experiment checkpoints (`<name>.ckpt`): one
+/// [`crate::persist`] record holding a `FlowCheckpoint`'s text.
+pub const EXP_CHECKPOINT: SchemaId = SchemaId::new("flowexp-checkpoint", 1);
 
 /// The flow-obs stats-aggregator snapshot (`repro serve --stats-out`).
 pub const OBS_STATS: SchemaId = SchemaId::new("flow-obs/stats", 1);
@@ -119,8 +126,8 @@ mod tests {
     #[test]
     fn line_header_round_trips() {
         let h = SERVE_CACHE.line_header();
-        assert_eq!(h, "flowserve-cache v3");
-        assert_eq!(parse_header(&h), Some(("flowserve-cache", 3)));
+        assert_eq!(h, "flowserve-cache v4");
+        assert_eq!(parse_header(&h), Some(("flowserve-cache", 4)));
         assert!(SERVE_CACHE.matches_line(&h));
         assert!(!STREAM_SNAPSHOT.matches_line(&h));
     }
@@ -145,12 +152,12 @@ mod tests {
 
     #[test]
     fn expect_header_reports_both_sides() {
-        assert!(expect_header("flowstream-snapshot v1", 1, STREAM_SNAPSHOT).is_ok());
+        assert!(expect_header("flowstream-snapshot v2", 1, STREAM_SNAPSHOT).is_ok());
         let err = expect_header("flowstream-snapshot v9", 1, STREAM_SNAPSHOT).unwrap_err();
         match err {
             FlowError::Parse { line, detail } => {
                 assert_eq!(line, 1);
-                assert!(detail.contains("v9") && detail.contains("flowstream-snapshot v1"));
+                assert!(detail.contains("v9") && detail.contains("flowstream-snapshot v2"));
             }
             other => panic!("expected Parse, got {other:?}"),
         }
@@ -160,7 +167,8 @@ mod tests {
     fn versions_match_their_documented_tags() {
         // The L10 lint exempts only this module; these assertions keep
         // the constant table honest against accidental renames.
-        assert_eq!(STREAM_SNAPSHOT.line_header(), "flowstream-snapshot v1");
+        assert_eq!(STREAM_SNAPSHOT.line_header(), "flowstream-snapshot v2");
+        assert_eq!(EXP_CHECKPOINT.line_header(), "flowexp-checkpoint v1");
         assert_eq!(PERF_BASELINE.tag(), "flow-perf/baseline-v1");
         assert_eq!(PERF_RUN.tag(), "flow-perf/run-v1");
         assert_eq!(BENCH_SERVE.tag(), "flow-bench/serve-v3");

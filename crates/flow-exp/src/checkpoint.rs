@@ -1,11 +1,14 @@
 //! On-disk checkpoint storage for long experiment runs.
 //!
-//! Wraps [`flow_mcmc::FlowCheckpoint`]'s text format with atomic file
-//! handling (write to a temp file, then rename) so a crash mid-write
-//! never leaves a truncated checkpoint behind — a truncated file would
-//! otherwise parse-fail on resume and discard the whole run's progress.
+//! Each checkpoint is one [`flow_core::persist`] record holding a
+//! [`flow_mcmc::FlowCheckpoint`]'s text: written to a temp file and
+//! renamed into place, so a process crash mid-write never leaves a
+//! truncated checkpoint behind (the file is not fsynced, so an OS crash
+//! still can), and checksummed, so bit rot is a typed error on resume
+//! instead of a silently different chain state.
 
-use flow_core::{FlowError, FlowResult};
+use flow_core::schema::EXP_CHECKPOINT;
+use flow_core::{persist, FlowError, FlowResult};
 use flow_mcmc::FlowCheckpoint;
 use std::path::{Path, PathBuf};
 
@@ -35,21 +38,16 @@ impl CheckpointStore {
     /// Atomically writes a checkpoint under `name` (replacing any
     /// previous one).
     pub fn save(&self, name: &str, ckpt: &FlowCheckpoint) -> FlowResult<()> {
-        let tmp = self.dir.join(format!("{name}.ckpt.tmp"));
-        std::fs::write(&tmp, ckpt.to_text())?;
-        std::fs::rename(&tmp, self.path(name))?;
-        Ok(())
+        persist::write(&self.path(name), EXP_CHECKPOINT, &[ckpt.to_text()])
     }
 
     /// Loads the checkpoint saved under `name`, or `None` if there is
-    /// no such file. A present-but-corrupt file is a typed
-    /// [`FlowError::Checkpoint`] error, not a silent restart.
+    /// no such file. A present-but-damaged or unparsable file is a
+    /// typed [`FlowError::Checkpoint`] error, not a silent restart.
     pub fn load(&self, name: &str) -> FlowResult<Option<FlowCheckpoint>> {
         let path = self.path(name);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(text) = persist::read_one(&path, EXP_CHECKPOINT)? else {
+            return Ok(None);
         };
         FlowCheckpoint::from_text(&text)
             .map(Some)
@@ -107,6 +105,24 @@ mod tests {
         store.remove("run").unwrap();
         assert_eq!(store.load("run").unwrap(), None);
         store.remove("run").unwrap(); // idempotent
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bit_rot_in_a_saved_checkpoint_is_a_typed_error() {
+        let dir = std::env::temp_dir().join("flowexp-ckpt-test-bitrot");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap();
+        store.save("run", &sample_ckpt()).unwrap();
+        // One digit of the RNG state flips: still a well-formed
+        // checkpoint, but not the chain that was saved.
+        let path = dir.join("run.ckpt");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let rotted = text.replacen("rng=1,", "rng=3,", 1);
+        assert_ne!(text, rotted);
+        std::fs::write(&path, rotted).unwrap();
+        let err = store.load("run").unwrap_err();
+        assert!(matches!(err, FlowError::Checkpoint { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

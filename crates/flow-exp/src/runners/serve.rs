@@ -187,11 +187,12 @@ fn write_text(dir: &Path, name: &str, text: &str) -> FlowResult<()> {
     Ok(())
 }
 
-/// Arms one named serving-path fault point for a chaos run. The specs
-/// are chosen so a resilient engine finishes the batch with structured
-/// ok/degraded results: the worker stall fires twice (recovered by the
-/// default three-attempt retry); the other points stay armed for the
-/// whole run (quarantine and shedding absorb them).
+/// Arms one named serving-path or persistence fault point for a chaos
+/// run (in `repro serve` the persistence points tear the cache file).
+/// The specs are chosen so a resilient engine finishes the batch with
+/// structured ok/degraded results: the worker stall fires twice
+/// (recovered by the default three-attempt retry); the other points
+/// stay armed for the whole run (quarantine and shedding absorb them).
 #[cfg(feature = "fault-inject")]
 fn arm_injection(point: &str) -> FlowResult<()> {
     use flow_core::fault::{self, FaultSpec};
@@ -205,8 +206,8 @@ fn arm_injection(point: &str) -> FlowResult<()> {
             },
         ),
         "serve.queue_saturate" => ("serve.queue_saturate", FaultSpec::always(0.0)),
-        "serve.cache_read_corrupt" => ("serve.cache_read_corrupt", FaultSpec::always(0.0)),
-        "serve.cache_write_corrupt" => ("serve.cache_write_corrupt", FaultSpec::always(0.0)),
+        "persist.torn_read" => ("persist.torn_read", FaultSpec::always(0.0)),
+        "persist.torn_write" => ("persist.torn_write", FaultSpec::always(0.0)),
         other => {
             return Err(FlowError::Parse {
                 line: 0,

@@ -21,34 +21,27 @@
 //! byte budget. Hit/miss/eviction counters mirror to `flow-obs`
 //! (`serve.cache.*`) for the serving smoke test and dashboards.
 //!
-//! Persistence is crash-safe (DESIGN.md §12): every entry block carries
-//! an FNV-1a checksum of its own text, files are written via
-//! temp-file-plus-rename so a crash mid-write never leaves a half
-//! cache, and a corrupt or torn block found on load is *quarantined* —
-//! moved verbatim into a `quarantine/` sidecar directory next to the
-//! cache file — while every intact block still loads. Corruption
-//! therefore costs cache misses, never a panic and never a wrong
-//! answer; a `serve.cache_quarantined` event records each incident.
+//! Persistence (DESIGN.md §12) goes through [`flow_core::persist`]:
+//! one checksummed record per entry, written to a temp file and
+//! renamed into place, so a process crash mid-save never leaves a half
+//! cache (the file is not fsynced, so an OS crash still can). A
+//! damaged record found on load, or one that no longer parses, is
+//! *quarantined* — moved verbatim into a `quarantine/` sidecar
+//! directory next to the cache file — while every intact record still
+//! loads. Corruption therefore costs cache misses, never a panic and
+//! never a wrong answer; a `serve.cache_quarantined` event records each
+//! incident. A file under any other schema header (older versions
+//! included) is quarantined wholesale: a cold start.
 
-use crate::key::{Fnv64, QueryKey};
-use flow_core::{fault, FlowError, FlowResult};
+use crate::key::QueryKey;
+use flow_core::schema::SERVE_CACHE;
+use flow_core::{persist, FlowError, FlowResult};
 use flow_mcmc::{ChainCheckpoint, TargetCounts};
 use std::collections::HashMap;
 use std::path::Path;
 
-/// Magic first line of the persisted-cache text format, from the
-/// workspace schema registry ([`flow_core::schema::SERVE_CACHE`]). v2
-/// added per-entry `entry lines=<n> crc=<hex>` markers; v3 added the
-/// shard field to the persisted key text. Files with any other header
-/// (including older versions) are quarantined wholesale on load, which
-/// costs a cold start, never a wrong answer.
-fn header() -> String {
-    flow_core::schema::SERVE_CACHE.line_header()
-}
-
-/// Marker written when checksumming is explicitly disabled
-/// ([`ServeCache::save_to_dir_opts`]); such blocks load unverified.
-const CRC_DISABLED: &str = "-";
+/// The cache file's name inside its directory.
+const FILE: &str = "cache.flowserve";
 
 /// 95% confidence half-width of a Bernoulli frequency estimate from `n`
 /// samples. The variance is floored at `1/n` so degenerate estimates
@@ -278,96 +271,59 @@ impl ServeCache {
         self.bytes
     }
 
-    /// Renders one entry's block body (the lines covered by its CRC).
+    /// Renders one entry as its persisted record: the key, counts,
+    /// sample count and seed lines, then the chain checkpoint's text.
     fn render_entry(e: &CacheEntry) -> String {
-        let ckpt = e.checkpoint.to_text();
-        let mut out = String::new();
-        out.push_str(&format!("key={}\n", e.key.to_text()));
-        out.push_str(&format!(
-            "counts={} {} {}\n",
-            e.counts.all, e.counts.any, e.counts.members
-        ));
-        out.push_str(&format!("samples={}\n", e.samples));
-        out.push_str(&format!("seed={}\n", e.seed));
-        out.push_str(&format!("ckpt_lines={}\n", ckpt.lines().count()));
-        out.push_str(&ckpt);
-        if !ckpt.ends_with('\n') {
-            out.push('\n');
-        }
-        out
+        format!(
+            "key={}\ncounts={} {} {}\nsamples={}\nseed={}\n{}",
+            e.key.to_text(),
+            e.counts.all,
+            e.counts.any,
+            e.counts.members,
+            e.samples,
+            e.seed,
+            e.checkpoint.to_text()
+        )
     }
 
-    /// Persists every resident entry to `<dir>/cache.flowserve` in a
-    /// line-based text format (entries sorted by key hash so the file
-    /// is deterministic for a given population). Each entry block is
-    /// prefixed with `entry lines=<n> crc=<fnv1a-hex>` and the file is
-    /// written atomically (temp file + rename), so neither a torn write
-    /// nor a crash mid-save can corrupt an existing cache in place.
+    /// Persists every resident entry to `<dir>/cache.flowserve`, one
+    /// [`flow_core::persist`] record per entry, sorted by key hash so
+    /// the file is deterministic for a given population.
     pub fn save_to_dir(&self, dir: &Path) -> FlowResult<()> {
-        self.save_to_dir_opts(dir, true)
-    }
-
-    /// [`ServeCache::save_to_dir`] with entry checksums optionally
-    /// disabled (`crc=-` markers; blocks load unverified). Exists so
-    /// the resilience-overhead benchmark can price checksumming; serving
-    /// always checksums.
-    pub fn save_to_dir_opts(&self, dir: &Path, checksums: bool) -> FlowResult<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut hashes: Vec<u64> = self.slots.keys().copied().collect();
-        hashes.sort_unstable();
-        let mut out = String::new();
-        out.push_str(&header());
-        out.push('\n');
-        out.push_str(&format!("entries={}\n", hashes.len()));
-        for h in hashes {
-            let Some(slot) = self.slots.get(&h) else {
-                continue;
-            };
-            let block = Self::render_entry(&slot.entry);
-            let crc = if checksums {
-                format!("{:016x}", Fnv64::new().bytes(block.as_bytes()).finish())
-            } else {
-                CRC_DISABLED.to_string()
-            };
-            out.push_str(&format!(
-                "entry lines={} crc={}\n",
-                block.lines().count(),
-                crc
-            ));
-            out.push_str(&block);
-        }
-        if fault::fires("serve.cache_write_corrupt") {
-            // Torn write: keep a prefix only (the format is ASCII, so
-            // any byte index is a char boundary).
-            out.truncate(out.len() * 3 / 5);
-        }
-        let path = dir.join("cache.flowserve");
-        let tmp = dir.join("cache.flowserve.tmp");
-        std::fs::write(&tmp, out)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        let mut slots: Vec<(&u64, &Slot)> = self.slots.iter().collect();
+        slots.sort_unstable_by_key(|(hash, _)| **hash);
+        let records: Vec<String> = slots
+            .into_iter()
+            .map(|(_, slot)| Self::render_entry(&slot.entry))
+            .collect();
+        persist::write(&dir.join(FILE), SERVE_CACHE, &records)
     }
 
     /// Loads a cache persisted by [`ServeCache::save_to_dir`]. A missing
-    /// file yields an empty cache (cold start). Corrupt content — bad
-    /// header, torn tail, checksum mismatches, unparsable blocks — is
-    /// quarantined into `<dir>/quarantine/` and every intact block still
-    /// loads; [`ServeCache::quarantined`] counts the incidents. Only
-    /// real I/O failures surface as errors.
+    /// file yields an empty cache (cold start). Damage the reader
+    /// reports — bad header, torn or missing records, checksum
+    /// mismatches — and records that do not parse are quarantined into
+    /// `<dir>/quarantine/` while every intact record still loads;
+    /// [`ServeCache::quarantined`] counts the incidents. Only real I/O
+    /// failures surface as errors.
     pub fn load_from_dir(dir: &Path, byte_budget: usize) -> FlowResult<Self> {
-        let path = dir.join("cache.flowserve");
-        let mut text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(ServeCache::new(byte_budget));
-            }
-            Err(e) => return Err(e.into()),
+        let mut cache = ServeCache::new(byte_budget);
+        let Some(contents) = persist::read(&dir.join(FILE), SERVE_CACHE)? else {
+            return Ok(cache);
         };
-        if fault::fires("serve.cache_read_corrupt") {
-            // Torn read: the file's tail never made it to disk.
-            text.truncate(text.len() / 2);
+        let mut quarantined: Vec<(String, String)> = contents
+            .damage
+            .into_iter()
+            .map(|d| (d.to_string(), d.text))
+            .collect();
+        for record in contents.records {
+            match Self::parse_entry(&record) {
+                Ok(entry) => cache.insert(entry),
+                Err(e) => quarantined.push((e.to_string(), record)),
+            }
         }
-        let (mut cache, quarantined) = Self::from_text_lossy(&text, byte_budget);
+        // Loading is population, not traffic.
+        cache.evictions = 0;
         if !quarantined.is_empty() {
             let qdir = dir.join("quarantine");
             std::fs::create_dir_all(&qdir)?;
@@ -386,151 +342,33 @@ impl ServeCache {
         Ok(cache)
     }
 
-    /// Parses persisted cache text, returning the cache plus every
-    /// quarantined `(reason, block text)` pair. Never fails: corruption
-    /// costs entries, not the load.
-    fn from_text_lossy(text: &str, byte_budget: usize) -> (Self, Vec<(String, String)>) {
-        let mut cache = ServeCache::new(byte_budget);
-        let mut quarantined: Vec<(String, String)> = Vec::new();
-        let lines: Vec<&str> = text.lines().collect();
-        if lines.first().copied() != Some(header().as_str()) {
-            quarantined.push((
-                format!("bad cache header; expected `{}`", header()),
-                text.to_string(),
-            ));
-            return (cache, quarantined);
-        }
-        let declared: Option<usize> = lines
-            .get(1)
-            .and_then(|l| l.strip_prefix("entries="))
-            .and_then(|v| v.parse().ok());
-        if declared.is_none() {
-            quarantined.push(("bad or missing entry-count line".into(), text.to_string()));
-            return (cache, quarantined);
-        }
-        // Blocks are delimited by their `entry ` marker lines; scanning
-        // for markers (rather than trusting each block's declared
-        // length) makes recovery self-resynchronizing after corruption.
-        let markers: Vec<usize> = (2..lines.len())
-            .filter(|&i| lines[i].starts_with("entry "))
-            .collect();
-        for (m, &start) in markers.iter().enumerate() {
-            let end = markers.get(m + 1).copied().unwrap_or(lines.len());
-            let body = lines.get(start + 1..end).unwrap_or(&[]);
-            let block_text = || {
-                let mut t = String::new();
-                for l in &lines[start..end] {
-                    t.push_str(l);
-                    t.push('\n');
-                }
-                t
-            };
-            match Self::parse_block(lines[start], body) {
-                Ok(entry) => cache.insert(entry),
-                Err(e) => quarantined.push((e.to_string(), block_text())),
-            }
-        }
-        if let Some(declared) = declared {
-            let found = cache.len() + quarantined.len();
-            if found < declared {
-                // Blocks lost wholesale (e.g. a torn tail that took the
-                // markers with it): record the shortfall as one incident
-                // so operators see it even without surviving bytes.
-                quarantined.push((
-                    format!("cache declared {declared} entries, found {found} blocks"),
-                    String::new(),
-                ));
-            }
-        }
-        // Loading is population, not traffic: reset the flow counters.
-        cache.hits = 0;
-        cache.misses = 0;
-        cache.evictions = 0;
-        (cache, quarantined)
-    }
-
-    /// Parses one `entry lines=<n> crc=<hex>` block into an entry,
-    /// verifying length and checksum first.
-    fn parse_block(marker: &str, body: &[&str]) -> FlowResult<CacheEntry> {
+    /// Parses one intact record back into an entry.
+    fn parse_entry(record: &str) -> FlowResult<CacheEntry> {
         let corrupt = |detail: String| FlowError::Checkpoint { detail };
-        let rest = marker
-            .strip_prefix("entry lines=")
-            .ok_or_else(|| corrupt(format!("bad entry marker `{marker}`")))?;
-        let (len_text, crc_text) = rest
-            .split_once(" crc=")
-            .ok_or_else(|| corrupt(format!("entry marker missing crc: `{marker}`")))?;
-        let declared_lines: usize = len_text
-            .parse()
-            .map_err(|_| corrupt(format!("bad entry line count `{len_text}`")))?;
-        if body.len() != declared_lines {
-            return Err(corrupt(format!(
-                "entry truncated or overrun: declared {declared_lines} lines, found {}",
-                body.len()
-            )));
-        }
-        if crc_text != CRC_DISABLED {
-            let expected: u64 = u64::from_str_radix(crc_text, 16)
-                .map_err(|_| corrupt(format!("bad entry crc `{crc_text}`")))?;
-            let mut h = Fnv64::new();
-            for l in body {
-                h = h.bytes(l.as_bytes()).bytes(b"\n");
-            }
-            let actual = h.finish();
-            if actual != expected {
-                return Err(corrupt(format!(
-                    "entry checksum mismatch: stored {expected:016x}, computed {actual:016x}"
-                )));
-            }
-        }
-        let mut lines = body.iter().copied();
-        let mut expect = |prefix: &str| -> FlowResult<String> {
-            let line = lines
-                .next()
-                .ok_or_else(|| corrupt(format!("truncated entry: missing `{prefix}` line")))?;
+        // Four field lines, then the checkpoint text to the end.
+        let mut lines = record.splitn(5, '\n');
+        let [key, counts, samples, seed] = ["key=", "counts=", "samples=", "seed="].map(|prefix| {
+            let line = lines.next().unwrap_or_default();
             line.strip_prefix(prefix)
-                .map(str::to_owned)
                 .ok_or_else(|| corrupt(format!("expected `{prefix}...`, got `{line}`")))
+        });
+        let number = |text: &str| {
+            text.parse::<u64>()
+                .map_err(|_| corrupt(format!("bad number `{text}`")))
         };
-        let key = QueryKey::from_text(&expect("key=")?)?;
-        let counts_text = expect("counts=")?;
-        let mut parts = counts_text.split_whitespace();
-        let mut next_u64 = |what: &str| -> FlowResult<u64> {
-            parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| corrupt(format!("bad counts field `{what}`")))
+        let key = QueryKey::from_text(key?)?;
+        let counts = counts?;
+        let parsed = counts.split_whitespace().map(number);
+        let [all, any, members] = parsed.collect::<FlowResult<Vec<_>>>()?[..] else {
+            return Err(corrupt(format!("bad counts `{counts}`")));
         };
-        let counts = TargetCounts {
-            all: next_u64("all")?,
-            any: next_u64("any")?,
-            members: next_u64("members")?,
-        };
-        let samples: u64 = expect("samples=")?
-            .parse()
-            .map_err(|_| corrupt("bad samples".into()))?;
-        let seed: u64 = expect("seed=")?
-            .parse()
-            .map_err(|_| corrupt("bad seed".into()))?;
-        let ckpt_lines: usize = expect("ckpt_lines=")?
-            .parse()
-            .map_err(|_| corrupt("bad ckpt_lines".into()))?;
-        let mut ckpt_text = String::new();
-        for _ in 0..ckpt_lines {
-            let line = lines
-                .next()
-                .ok_or_else(|| corrupt("truncated checkpoint in cache".into()))?;
-            ckpt_text.push_str(line);
-            ckpt_text.push('\n');
-        }
-        let checkpoint = ChainCheckpoint::from_text(&ckpt_text)?;
-        let model_version = key.fingerprint;
         Ok(CacheEntry {
+            model_version: key.fingerprint,
             key,
-            counts,
-            samples,
-            seed,
-            model_version,
-            checkpoint,
+            counts: TargetCounts { all, any, members },
+            samples: number(samples?)?,
+            seed: number(seed?)?,
+            checkpoint: ChainCheckpoint::from_text(lines.next().unwrap_or_default())?,
         })
     }
 }
@@ -743,24 +581,6 @@ mod tests {
         let loaded = ServeCache::load_from_dir(&dir, 1 << 20).unwrap();
         assert!(loaded.quarantined() >= 1, "torn tail must be quarantined");
         assert_eq!(loaded.len(), 2, "intact prefix entries survive");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unchecksummed_save_round_trips() {
-        let model = icm();
-        let dir = tmp_dir("no-crc");
-        let mut cache = ServeCache::new(1 << 20);
-        cache.insert(entry_for(&model, 1, 100));
-        cache.save_to_dir_opts(&dir, false).unwrap();
-        let text = std::fs::read_to_string(dir.join("cache.flowserve")).unwrap();
-        assert!(
-            text.contains("crc=-"),
-            "disabled checksums use the `-` marker"
-        );
-        let loaded = ServeCache::load_from_dir(&dir, 1 << 20).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded.quarantined(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -410,7 +410,7 @@ impl ServeEngine {
         let fingerprint = model_fingerprint(icm);
         let mut dropped = self.cache.invalidate_stale(fingerprint);
         if self.config.shards > 1 {
-            match self.ensure_sharding(icm) {
+            match self.ensure_sharding(icm, fingerprint) {
                 Ok(d) => dropped += d,
                 // A failed rebuild leaves the router unmaterialized;
                 // the next batch retries (and falls back globally).
@@ -425,11 +425,10 @@ impl ServeEngine {
         &self.config
     }
 
-    /// (Re)builds the router state for `icm`, reusing every unit whose
-    /// projected sub-model is unchanged. Returns how many cache entries
-    /// the retired units held.
-    fn ensure_sharding(&mut self, icm: &Icm) -> FlowResult<usize> {
-        let fingerprint = model_fingerprint(icm);
+    /// (Re)builds the router state for `icm`, whose fingerprint is
+    /// `fingerprint`, reusing every unit whose projected sub-model is
+    /// unchanged. Returns how many cache entries the retired units held.
+    fn ensure_sharding(&mut self, icm: &Icm, fingerprint: u64) -> FlowResult<usize> {
         if self
             .sharding
             .as_ref()
@@ -528,7 +527,7 @@ impl ServeEngine {
     /// threads, gather outcomes back into submission order.
     fn execute_batch_sharded(&mut self, icm: &Icm, queries: &[FlowQuery]) -> Vec<QueryOutcome> {
         let _batch = flow_obs::span("serve.batch.sharded");
-        if let Err(e) = self.ensure_sharding(icm) {
+        if let Err(e) = self.ensure_sharding(icm, model_fingerprint(icm)) {
             // Partitioning failed (malformed model): serve the whole
             // batch on the global path rather than dropping it.
             flow_obs::event(|| {

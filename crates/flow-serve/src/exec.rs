@@ -28,7 +28,7 @@
 //! start/finish events carrying the plan id, whichever thread runs it.
 
 use crate::plan::Plan;
-use flow_core::{fault, FlowError, FlowResult};
+use flow_core::{fault, FlowError};
 use flow_icm::Icm;
 use flow_mcmc::SharedChainOutcome;
 use flow_obs::{ScopedRecorder, TraceContext};
@@ -321,30 +321,6 @@ fn execute_with_retry(
     }
 }
 
-/// Runs a batch of plans on the worker pool. The returned vector is
-/// indexed by plan id and always complete: every plan is `Completed`,
-/// `Rejected`, or `Failed`.
-pub fn run_plans(icm: &Icm, plans: &[Plan], config: &ExecutorConfig) -> Vec<PlanStatus> {
-    run_plans_report(icm, plans, config).0
-}
-
-/// Convenience: run plans and return a typed result per plan, mapping
-/// `Rejected` to its carried [`FlowError::Overloaded`] for callers that
-/// do not model backpressure separately.
-pub fn run_plans_strict(
-    icm: &Icm,
-    plans: &[Plan],
-    config: &ExecutorConfig,
-) -> Vec<FlowResult<SharedChainOutcome>> {
-    run_plans(icm, plans, config)
-        .into_iter()
-        .map(|s| match s {
-            PlanStatus::Completed(out) => Ok(out),
-            PlanStatus::Failed(e) | PlanStatus::Rejected(e) => Err(e),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +364,7 @@ mod tests {
             ..Default::default()
         };
         for _ in 0..3 {
-            let statuses = run_plans(&model, &batch.plans, &exec);
+            let (statuses, _) = run_plans_report(&model, &batch.plans, &exec);
             assert!(matches!(statuses[0], PlanStatus::Completed(_)));
             assert!(matches!(statuses[1], PlanStatus::Completed(_)));
             assert!(matches!(
@@ -480,7 +456,7 @@ mod tests {
             let batch = plan_batch(&model, &mut ServeCache::new(1 << 20), &cfg(), &queries);
             assert_eq!(batch.plans.len(), sources as usize);
             let _r = ScopedRecorder::install(log.clone());
-            let statuses = run_plans(&model, &batch.plans, &ExecutorConfig::default());
+            let (statuses, _) = run_plans_report(&model, &batch.plans, &ExecutorConfig::default());
             assert!(statuses
                 .iter()
                 .all(|s| matches!(s, PlanStatus::Completed(_))));
@@ -505,7 +481,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         {
             let _r = ScopedRecorder::install(sink.clone());
-            let statuses = run_plans(&model, &batch.plans, &ExecutorConfig::default());
+            let (statuses, _) = run_plans_report(&model, &batch.plans, &ExecutorConfig::default());
             assert!(statuses
                 .iter()
                 .all(|s| matches!(s, PlanStatus::Completed(_))));

@@ -17,7 +17,7 @@
 //! * [`plan_batch`] — the planner: reject contradictions before
 //!   sampling, serve hits, group the rest by chain identity so `k`
 //!   same-source queries pay one burn-in;
-//! * [`run_plans`] — a fixed worker pool (the calling thread plus
+//! * [`run_plans_report`] — a fixed worker pool (the calling thread plus
 //!   helpers) with a bounded admission queue,
 //!   a configurable step-budget admission policy (shed plans carry
 //!   typed `Overloaded` errors with retry-after hints), and
@@ -57,10 +57,7 @@ pub use cache::{half_width, CacheEntry, ServeCache};
 pub use engine::{
     Answer, EngineBuilder, QueryOutcome, ServeConfig, ServeEngine, ServeStats, Served,
 };
-pub use exec::{
-    run_plans, run_plans_report, run_plans_strict, ExecReport, ExecutorConfig, PlanStatus,
-    RetryPolicy,
-};
+pub use exec::{run_plans_report, ExecReport, ExecutorConfig, PlanStatus, RetryPolicy};
 pub use key::{model_fingerprint, ConfigClass, Fnv64, QueryKey};
 pub use plan::{
     mix64, plan_batch, samples_for_tolerance, BatchPlan, EarlyResolution, FlowQuery, Plan,

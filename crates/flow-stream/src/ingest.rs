@@ -208,19 +208,24 @@ impl Ingestor {
     }
 
     fn push_event(&mut self, line: usize, event: StreamEvent) -> FlowResult<Push> {
-        // Unwrap-free graph access: push_line established it is Some.
-        let Some(graph) = self.graph.clone() else {
-            return self.reject(line, "malformed", "event before the graph header".into());
+        // Everything validation needs from the graph is read up front,
+        // so each event borrows the graph instead of cloning it. A parent
+        // outside the graph has no edge to the node.
+        let (node_count, edge_ok) = match &self.graph {
+            Some(graph) => (
+                graph.node_count(),
+                event.parent.is_some_and(|p| {
+                    p.index() < graph.node_count() && graph.find_edge(p, event.node).is_some()
+                }),
+            ),
+            // push_line established that the graph is known.
+            None => return self.reject(line, "malformed", "event before the graph header".into()),
         };
-        if event.node.index() >= graph.node_count() {
+        if event.node.index() >= node_count {
             return self.reject(
                 line,
                 "inconsistent",
-                format!(
-                    "node {} outside the {}-node graph",
-                    event.node,
-                    graph.node_count()
-                ),
+                format!("node {} outside the {node_count}-node graph", event.node),
             );
         }
         if self.watermark.is_some_and(|w| event.cascade <= w) {
@@ -244,7 +249,6 @@ impl Ingestor {
             return self.reject(line, "duplicate", detail);
         }
         if let Some(parent) = event.parent {
-            let edge_ok = graph.find_edge(parent, event.node).is_some();
             let parent_earlier = builder.time_of(parent).is_some_and(|tp| tp < event.t);
             if !edge_ok || !parent_earlier {
                 let detail = if !edge_ok {
@@ -428,6 +432,25 @@ mod tests {
             .push_line(6, r#"{"cascade": 2, "node": 1, "t": 3, "parent": 0}"#)
             .is_err());
         assert_eq!(ing.stats().rejected_inconsistent, 4);
+    }
+
+    #[test]
+    fn parent_outside_the_graph_is_rejected() {
+        let mut ing = ingestor();
+        let err = ing
+            .push_line(1, r#"{"cascade": 1, "node": 1, "t": 1, "parent": 99}"#)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlowError::RejectedEvent {
+                    reason: "inconsistent",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(ing.open_cascades(), 0);
     }
 
     #[test]

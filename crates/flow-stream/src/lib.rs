@@ -20,8 +20,9 @@
 //!    evidence, characteristic-table merges for unattributed evidence.
 //!    Incremental application is bit-identical to batch training on
 //!    the union (property-tested below).
-//! 4. **Swap** ([`registry`]) — each sealed epoch persists atomically
-//!    (tmp+rename, FNV-1a checksum) and hot-swaps into a
+//! 4. **Swap** ([`registry`]) — each sealed epoch persists through
+//!    [`flow_core::persist`] (atomic replace, checksummed record; the
+//!    store keeps the two newest epochs) and hot-swaps into a
 //!    [`flow_serve::ServeEngine`]: stale cache entries are invalidated
 //!    by fingerprint while in-flight batches finish on their version.
 //!
@@ -197,6 +198,8 @@ mod prop_tests {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
             prop_assert_eq!(incr.serve_fingerprint(), batch.serve_fingerprint());
+            // The kept fingerprint is the served model's own.
+            prop_assert_eq!(incr.serve_fingerprint(), flow_icm::model_fingerprint(&pi));
         }
 
         /// Snapshot persistence is faithful for arbitrary trained

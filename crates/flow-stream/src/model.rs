@@ -34,6 +34,10 @@ pub struct StreamModel {
     summaries: Vec<SinkSummary>,
     timing: TimingAssumption,
     epoch: u64,
+    /// The model as served and its fingerprint, rebuilt whenever the
+    /// statistics change (construction and [`Self::apply`]).
+    served: Icm,
+    served_fingerprint: u64,
 }
 
 /// The candidate parents of `sink`: its in-neighbours, in in-edge
@@ -46,6 +50,50 @@ fn in_parents(graph: &DiGraph, sink: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
+/// The point-probability model served to queries: per edge, the
+/// attributed Beta posterior augmented with the **filtered**
+/// unattributed evidence of §V-C — every unambiguous row adds its
+/// leaks to α and its non-leaks to β. Ambiguous rows are ignored,
+/// keeping the update exact (integer counts) and therefore
+/// order-independent: incremental and batch training serve the same
+/// bits.
+fn serve(beta: &BetaIcm, summaries: &[SinkSummary]) -> Icm {
+    let graph = beta.graph().clone();
+    let mut probs: Vec<f64> = beta.params().iter().map(Beta::mean).collect();
+    for summary in summaries {
+        let width = summary.parents.len();
+        let mut leaks = vec![0u64; width];
+        let mut misses = vec![0u64; width];
+        for row in summary.rows.iter().filter(|r| r.is_unambiguous()) {
+            let Some(b) = row.characteristic.iter_ones().next() else {
+                continue;
+            };
+            leaks[b] += row.leaks;
+            misses[b] += row.count - row.leaks;
+        }
+        for (b, &parent) in summary.parents.iter().enumerate() {
+            if leaks[b] == 0 && misses[b] == 0 {
+                continue;
+            }
+            let Some(e) = graph.find_edge(parent, summary.sink) else {
+                continue;
+            };
+            let prior = beta.edge_beta(e);
+            // One exact integer-valued add per side keeps the
+            // result independent of how epochs were split.
+            let a = prior.alpha() + leaks[b] as f64;
+            let bb = prior.beta() + misses[b] as f64;
+            let p = a / (a + bb);
+            debug_assert!(
+                (0.0..=1.0).contains(&p),
+                "blended mean {p} out of [0, 1] (a={a}, b={bb})"
+            );
+            probs[e.index()] = p;
+        }
+    }
+    Icm::new(graph, probs)
+}
+
 impl StreamModel {
     /// An untrained model over `graph`: uniform-prior Betas and empty
     /// characteristic tables.
@@ -55,12 +103,7 @@ impl StreamModel {
             .filter(|&v| !graph.in_edges(v).is_empty())
             .map(|sink| SinkSummary::from_rows(sink, in_parents(&graph, sink), Vec::new()))
             .collect();
-        StreamModel {
-            beta: BetaIcm::uniform_prior(graph),
-            summaries,
-            timing,
-            epoch: 0,
-        }
+        Self::from_parts(BetaIcm::uniform_prior(graph), summaries, timing, 0)
     }
 
     /// Rebuilds a model from persisted parts (snapshot load path).
@@ -70,7 +113,10 @@ impl StreamModel {
         timing: TimingAssumption,
         epoch: u64,
     ) -> Self {
+        let served = serve(&beta, &summaries);
         StreamModel {
+            served_fingerprint: model_fingerprint(&served),
+            served,
             beta,
             summaries,
             timing,
@@ -124,56 +170,26 @@ impl StreamModel {
             }
         }
         self.epoch += 1;
+        self.served = serve(&self.beta, &self.summaries);
+        self.served_fingerprint = model_fingerprint(&self.served);
         Ok(())
     }
 
-    /// The point-probability model served to queries: per edge, the
-    /// attributed Beta posterior augmented with the **filtered**
-    /// unattributed evidence of §V-C — every unambiguous row adds its
-    /// leaks to α and its non-leaks to β. Ambiguous rows are ignored,
-    /// keeping the update exact (integer counts) and therefore
-    /// order-independent: incremental and batch training serve the
-    /// same bits.
+    /// The point-probability model served to queries — per edge, the
+    /// Beta posterior blended with the filtered §V-C evidence — as a
+    /// clone of the one kept since the statistics last changed.
     pub fn serving_icm(&self) -> Icm {
-        let graph = self.beta.graph().clone();
-        let mut probs: Vec<f64> = self.beta.params().iter().map(Beta::mean).collect();
-        for summary in &self.summaries {
-            let width = summary.parents.len();
-            let mut leaks = vec![0u64; width];
-            let mut misses = vec![0u64; width];
-            for row in summary.rows.iter().filter(|r| r.is_unambiguous()) {
-                let Some(b) = row.characteristic.iter_ones().next() else {
-                    continue;
-                };
-                leaks[b] += row.leaks;
-                misses[b] += row.count - row.leaks;
-            }
-            for (b, &parent) in summary.parents.iter().enumerate() {
-                if leaks[b] == 0 && misses[b] == 0 {
-                    continue;
-                }
-                let Some(e) = graph.find_edge(parent, summary.sink) else {
-                    continue;
-                };
-                let prior = self.beta.edge_beta(e);
-                // One exact integer-valued add per side keeps the
-                // result independent of how epochs were split.
-                let a = prior.alpha() + leaks[b] as f64;
-                let bb = prior.beta() + misses[b] as f64;
-                let p = a / (a + bb);
-                debug_assert!(
-                    (0.0..=1.0).contains(&p),
-                    "blended mean {p} out of [0, 1] (a={a}, b={bb})"
-                );
-                probs[e.index()] = p;
-            }
-        }
-        Icm::new(graph, probs)
+        self.served.clone()
+    }
+
+    /// The kept served model, borrowed.
+    pub(crate) fn served(&self) -> &Icm {
+        &self.served
     }
 
     /// Fingerprint of the model *as served*: what cache keys embed.
     pub fn serve_fingerprint(&self) -> u64 {
-        model_fingerprint(&self.serving_icm())
+        self.served_fingerprint
     }
 
     /// Fingerprint of the full learning state (posteriors, tables,

@@ -1,40 +1,41 @@
 //! Versioned model registry: atomic epoch snapshots and hot-swap into
 //! the serving layer.
 //!
-//! **Snapshot atomicity.** Each sealed epoch persists the full learning
-//! state as `epoch-NNNNNN.snap`, written to a temporary file and
-//! `rename`d into place — readers only ever see complete files. Every
-//! snapshot ends with an FNV-1a checksum line over everything above it;
-//! a torn or bit-rotted file fails the checksum and
-//! [`SnapshotStore::load_latest`] falls back to the newest intact
-//! epoch. The `stream.swap_torn_write` fault point truncates the
-//! rendered snapshot mid-file to drill exactly that path.
+//! **Snapshots.** Each sealed epoch persists the full learning state
+//! as `epoch-NNNNNN.snap`: one checksummed [`flow_core::persist`]
+//! record, written to a temporary file and renamed into place, so a
+//! process crash mid-write never leaves a half snapshot (the file is
+//! not fsynced, so an OS crash still can). A torn or bit-rotted file
+//! fails its checksum and [`SnapshotStore::load_latest`] falls back to
+//! the newest intact epoch. The store keeps the two newest epochs and
+//! deletes older ones as it writes, so it stays bounded however long
+//! the stream runs. The `persist.torn_write` fault point tears a
+//! snapshot mid-file to drill the fallback.
 //!
 //! **Hot-swap.** [`ModelRegistry::swap_into`] installs the current
-//! serve fingerprint into a [`ServeEngine`]: cache entries keyed under
+//! served model into a [`ServeEngine`]: cache entries keyed under
 //! older fingerprints are invalidated eagerly, and because the engine
 //! takes the model per batch, in-flight batches finish on the model
 //! version they started with.
 //!
-//! The snapshot body is a line-oriented text format (like the
-//! checkpoint and perf-baseline files elsewhere in the workspace):
+//! The snapshot record is line-oriented text (like the checkpoint and
+//! perf-baseline files elsewhere in the workspace):
 //!
 //! ```text
-//! flowstream-snapshot v1
-//! epoch=2
-//! fingerprint=0123456789abcdef
-//! timing=any_earlier
-//! graph nodes=4 edges=4
-//! e 0 1
-//! b 3ff0000000000000 4000000000000000
+//! model epoch=2 timing=any_earlier nodes=4 edges=4
+//! e 0 1 3ff0000000000000 4000000000000000
 //! s sink=3 parents=1,2 spont=0 uninf=1 rows=1
 //! r ones=0 count=3 leaks=1
-//! crc=9ab65f3c42d1e807
 //! ```
+//!
+//! One `e` line per edge carries its endpoints and the bits of its Beta
+//! posterior's α and β; one `s` line per sink with in-edges opens its
+//! characteristic table of `r` rows.
 
 use crate::delta::EpochDelta;
 use crate::model::StreamModel;
-use flow_core::{fault, FlowError, FlowResult, Fnv64};
+use flow_core::schema::STREAM_SNAPSHOT;
+use flow_core::{persist, FlowError, FlowResult};
 use flow_graph::{graph::GraphBuilder, NodeId};
 use flow_icm::BetaIcm;
 use flow_learn::summary::{SinkSummary, SummaryRow, TimingAssumption};
@@ -42,6 +43,7 @@ use flow_serve::ServeEngine;
 use flow_stats::dist::Beta;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::str::SplitWhitespace;
 
 /// On-disk store of sealed-epoch snapshots.
 #[derive(Clone, Debug)]
@@ -52,12 +54,6 @@ pub struct SnapshotStore {
 fn corrupt(detail: impl Into<String>) -> FlowError {
     FlowError::Checkpoint {
         detail: detail.into(),
-    }
-}
-
-fn io_err(e: std::io::Error) -> FlowError {
-    FlowError::Io {
-        detail: e.to_string(),
     }
 }
 
@@ -76,71 +72,57 @@ fn timing_of(name: &str) -> FlowResult<TimingAssumption> {
     }
 }
 
-/// Renders the snapshot body (everything above the `crc=` line).
+/// Renders the snapshot record.
 fn render(model: &StreamModel) -> String {
-    let mut out = String::new();
     let graph = model.graph();
-    let _ = writeln!(out, "{}", flow_core::schema::STREAM_SNAPSHOT.line_header());
-    let _ = writeln!(out, "epoch={}", model.epoch());
-    let _ = writeln!(out, "fingerprint={:016x}", model.serve_fingerprint());
-    let _ = writeln!(out, "timing={}", timing_name(model.timing()));
-    let _ = writeln!(
-        out,
-        "graph nodes={} edges={}",
+    let mut out = format!(
+        "model epoch={} timing={} nodes={} edges={}\n",
+        model.epoch(),
+        timing_name(model.timing()),
         graph.node_count(),
         graph.edge_count()
     );
-    for e in graph.edges() {
+    for (e, b) in graph.edges().zip(model.beta().params()) {
         let (u, v) = graph.endpoints(e);
-        let _ = writeln!(out, "e {} {}", u.0, v.0);
-    }
-    for b in model.beta().params() {
-        let _ = writeln!(
-            out,
-            "b {:016x} {:016x}",
-            b.alpha().to_bits(),
-            b.beta().to_bits()
-        );
+        let (alpha, beta) = (b.alpha().to_bits(), b.beta().to_bits());
+        let _ = writeln!(out, "e {} {} {alpha:016x} {beta:016x}", u.0, v.0);
     }
     for s in model.summaries() {
-        let parents = s
-            .parents
-            .iter()
-            .map(|p| p.0.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
         let _ = writeln!(
             out,
             "s sink={} parents={} spont={} uninf={} rows={}",
             s.sink.0,
-            parents,
+            id_list(s.parents.iter().map(|p| p.index())),
             s.skipped_spontaneous,
             s.skipped_uninformative,
             s.rows.len()
         );
         for row in &s.rows {
-            let ones = row
-                .characteristic
-                .iter_ones()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            let _ = writeln!(
-                out,
-                "r ones={} count={} leaks={}",
-                ones, row.count, row.leaks
-            );
+            let ones = id_list(row.characteristic.iter_ones());
+            let _ = writeln!(out, "r ones={ones} count={} leaks={}", row.count, row.leaks);
         }
     }
     out
 }
 
-fn checksum(body: &str) -> u64 {
-    Fnv64::new().bytes(body.as_bytes()).finish()
+/// A comma-separated id list.
+fn id_list(ids: impl Iterator<Item = usize>) -> String {
+    ids.map(|i| i.to_string()).collect::<Vec<_>>().join(",")
 }
 
-/// Splits `key=value`, requiring `key`.
-fn kv<'a>(token: &'a str, key: &str) -> FlowResult<&'a str> {
+/// The tokens after the tag of `line`, which must start with `tag`.
+fn tagged<'a>(line: Option<&'a str>, tag: &str) -> FlowResult<SplitWhitespace<'a>> {
+    let line = line.unwrap_or("");
+    let mut toks = line.split_whitespace();
+    match toks.next() {
+        Some(t) if t == tag => Ok(toks),
+        _ => Err(corrupt(format!("expected a `{tag}` line, found `{line}`"))),
+    }
+}
+
+/// The value of the next token, which must be `key=<value>`.
+fn kv<'a>(toks: &mut SplitWhitespace<'a>, key: &str) -> FlowResult<&'a str> {
+    let token = toks.next().unwrap_or("");
     token
         .strip_prefix(key)
         .and_then(|rest| rest.strip_prefix('='))
@@ -150,6 +132,11 @@ fn kv<'a>(token: &'a str, key: &str) -> FlowResult<&'a str> {
 fn parse_u64(s: &str, what: &str) -> FlowResult<u64> {
     s.parse::<u64>()
         .map_err(|_| corrupt(format!("bad {what} `{s}`")))
+}
+
+/// The next token as a `key=<u64>` value.
+fn num(toks: &mut SplitWhitespace<'_>, key: &str) -> FlowResult<u64> {
+    parse_u64(kv(toks, key)?, key)
 }
 
 fn parse_bits(s: &str, what: &str) -> FlowResult<f64> {
@@ -166,121 +153,76 @@ fn parse_ids(s: &str, what: &str) -> FlowResult<Vec<u64>> {
     s.split(',').map(|tok| parse_u64(tok, what)).collect()
 }
 
-/// Parses a verified snapshot body back into a model.
-fn parse_snapshot(text: &str) -> FlowResult<StreamModel> {
-    // The final line must be the checksum over everything before it.
-    let Some(crc_at) = text.rfind("crc=") else {
-        return Err(corrupt("snapshot is missing its crc line"));
-    };
-    let (body, crc_line) = text.split_at(crc_at);
-    let stated = u64::from_str_radix(crc_line.trim_start_matches("crc=").trim(), 16)
-        .map_err(|_| corrupt("unreadable crc line"))?;
-    let actual = checksum(body);
-    if stated != actual {
-        return Err(corrupt(format!(
-            "checksum mismatch: file says {stated:016x}, content hashes to {actual:016x}"
-        )));
+/// Parses one `r` line of a sink with `width` parents.
+fn parse_row(line: Option<&str>, width: usize) -> FlowResult<SummaryRow> {
+    let mut toks = tagged(line, "r")?;
+    let ones = parse_ids(kv(&mut toks, "ones")?, "characteristic bit")?;
+    let count = num(&mut toks, "count")?;
+    let leaks = num(&mut toks, "leaks")?;
+    if leaks > count {
+        return Err(corrupt(format!("row has leaks {leaks} > count {count}")));
     }
-
-    let mut lines = body.lines();
-    if lines.next() != Some(flow_core::schema::STREAM_SNAPSHOT.line_header().as_str()) {
-        return Err(corrupt("bad snapshot magic"));
-    }
-    let epoch = parse_u64(kv(lines.next().unwrap_or(""), "epoch")?, "epoch")?;
-    // The stored serve fingerprint is advisory (recomputed on load).
-    let _advisory_fingerprint = kv(lines.next().unwrap_or(""), "fingerprint")?;
-    let timing = timing_of(kv(lines.next().unwrap_or(""), "timing")?)?;
-    let graph_line = lines.next().unwrap_or("");
-    let mut head = graph_line.split_whitespace();
-    if head.next() != Some("graph") {
-        return Err(corrupt(format!(
-            "expected graph line, found `{graph_line}`"
-        )));
-    }
-    let nodes = parse_u64(kv(head.next().unwrap_or(""), "nodes")?, "node count")? as usize;
-    let edge_count = parse_u64(kv(head.next().unwrap_or(""), "edges")?, "edge count")? as usize;
-
-    let mut edges = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let line = lines.next().unwrap_or("");
-        let mut toks = line.split_whitespace();
-        if toks.next() != Some("e") {
-            return Err(corrupt(format!("expected edge line, found `{line}`")));
+    let mut characteristic = flow_graph::BitSet::new(width);
+    for bit in ones.into_iter().map(|one| one as usize) {
+        if bit >= width {
+            return Err(corrupt(format!(
+                "characteristic bit {bit} out of range for {width} parents"
+            )));
         }
-        let u = parse_u64(toks.next().unwrap_or(""), "edge src")? as u32;
-        let v = parse_u64(toks.next().unwrap_or(""), "edge dst")? as u32;
-        edges.push((u, v));
+        characteristic.set(bit, true);
     }
+    Ok(SummaryRow {
+        characteristic,
+        count,
+        leaks,
+    })
+}
+
+/// Parses an intact snapshot record back into a model.
+fn parse_snapshot(record: &str) -> FlowResult<StreamModel> {
+    let mut lines = record.lines();
+    let mut head = tagged(lines.next(), "model")?;
+    let epoch = num(&mut head, "epoch")?;
+    let timing = timing_of(kv(&mut head, "timing")?)?;
+    let mut builder = GraphBuilder::new(num(&mut head, "nodes")? as usize);
+    let edge_count = num(&mut head, "edges")? as usize;
     // The checksum guards integrity, not validity: a hand-edited file
-    // with a recomputed crc can still name impossible edges, so the
-    // graph is built fallibly — never through the panicking fixture
-    // constructor.
-    let mut builder = GraphBuilder::new(nodes);
-    for &(u, v) in &edges {
+    // with a recomputed checksum can still name impossible edges or
+    // Betas, so both are built fallibly — never through the panicking
+    // fixture constructors.
+    let mut params = Vec::new();
+    for _ in 0..edge_count {
+        let toks: Vec<&str> = tagged(lines.next(), "e")?.collect();
+        let [u, v, alpha, beta] = toks[..] else {
+            return Err(corrupt(format!(
+                "edge line has {} fields, not 4",
+                toks.len()
+            )));
+        };
+        let u = parse_u64(u, "edge src")? as u32;
+        let v = parse_u64(v, "edge dst")? as u32;
         builder
             .add_edge(NodeId(u), NodeId(v))
             .map_err(|e| corrupt(format!("invalid stored edge ({u},{v}): {e}")))?;
+        let b = Beta::try_new(parse_bits(alpha, "alpha")?, parse_bits(beta, "beta")?);
+        params.push(b.map_err(|e| corrupt(format!("invalid stored Beta: {e}")))?);
     }
-    let graph = builder.build();
-
-    let mut params = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let line = lines.next().unwrap_or("");
-        let mut toks = line.split_whitespace();
-        if toks.next() != Some("b") {
-            return Err(corrupt(format!("expected beta line, found `{line}`")));
-        }
-        let a = parse_bits(toks.next().unwrap_or(""), "alpha")?;
-        let b = parse_bits(toks.next().unwrap_or(""), "beta")?;
-        params.push(Beta::try_new(a, b).map_err(|e| corrupt(format!("invalid stored Beta: {e}")))?);
-    }
-    let beta = BetaIcm::new(graph.clone(), params);
+    let beta = BetaIcm::new(builder.build(), params);
 
     let mut summaries = Vec::new();
     while let Some(line) = lines.next() {
-        let mut toks = line.split_whitespace();
-        if toks.next() != Some("s") {
-            return Err(corrupt(format!("expected summary line, found `{line}`")));
-        }
-        let sink = parse_u64(kv(toks.next().unwrap_or(""), "sink")?, "sink")? as u32;
-        let parents: Vec<NodeId> = parse_ids(kv(toks.next().unwrap_or(""), "parents")?, "parent")?
+        let mut toks = tagged(Some(line), "s")?;
+        let sink = NodeId(num(&mut toks, "sink")? as u32);
+        let parents: Vec<NodeId> = parse_ids(kv(&mut toks, "parents")?, "parent")?
             .into_iter()
             .map(|p| NodeId(p as u32))
             .collect();
-        let spont = parse_u64(kv(toks.next().unwrap_or(""), "spont")?, "spont counter")?;
-        let uninf = parse_u64(kv(toks.next().unwrap_or(""), "uninf")?, "uninf counter")?;
-        let nrows = parse_u64(kv(toks.next().unwrap_or(""), "rows")?, "row count")? as usize;
-        let mut rows = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
-            let line = lines.next().unwrap_or("");
-            let mut toks = line.split_whitespace();
-            if toks.next() != Some("r") {
-                return Err(corrupt(format!("expected row line, found `{line}`")));
-            }
-            let ones = parse_ids(kv(toks.next().unwrap_or(""), "ones")?, "characteristic bit")?;
-            let count = parse_u64(kv(toks.next().unwrap_or(""), "count")?, "row count")?;
-            let leaks = parse_u64(kv(toks.next().unwrap_or(""), "leaks")?, "row leaks")?;
-            if leaks > count {
-                return Err(corrupt(format!("row has leaks {leaks} > count {count}")));
-            }
-            let mut characteristic = flow_graph::BitSet::new(parents.len());
-            for one in ones {
-                let bit = one as usize;
-                if bit >= parents.len() {
-                    return Err(corrupt(format!(
-                        "characteristic bit {bit} out of range for {} parents",
-                        parents.len()
-                    )));
-                }
-                characteristic.set(bit, true);
-            }
-            rows.push(SummaryRow {
-                characteristic,
-                count,
-                leaks,
-            });
-        }
-        let mut summary = SinkSummary::from_rows(NodeId(sink), parents, rows);
+        let spont = num(&mut toks, "spont")?;
+        let uninf = num(&mut toks, "uninf")?;
+        let rows = (0..num(&mut toks, "rows")?)
+            .map(|_| parse_row(lines.next(), parents.len()))
+            .collect::<FlowResult<Vec<_>>>()?;
+        let mut summary = SinkSummary::from_rows(sink, parents, rows);
         summary.skipped_spontaneous = spont;
         summary.skipped_uninformative = uninf;
         summaries.push(summary);
@@ -303,56 +245,58 @@ impl SnapshotStore {
         self.dir.join(format!("epoch-{epoch:06}.snap"))
     }
 
-    /// Atomically persists `model` as its epoch's snapshot: render,
-    /// checksum, write to `*.tmp`, rename into place.
+    /// The store's snapshot files by epoch, oldest first (none when the
+    /// directory does not exist yet).
+    fn epochs(&self) -> FlowResult<Vec<(u64, PathBuf)>> {
+        let entries = match std::fs::read_dir(&self.dir) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e.into()),
+        };
+        let mut epochs: Vec<(u64, PathBuf)> = entries
+            .filter_map(|e| e.ok())
+            .filter_map(|e| {
+                let name = e.file_name();
+                let epoch = name
+                    .to_str()?
+                    .strip_prefix("epoch-")?
+                    .strip_suffix(".snap")?;
+                Some((epoch.parse().ok()?, e.path()))
+            })
+            .collect();
+        epochs.sort();
+        Ok(epochs)
+    }
+
+    /// Persists `model` as its epoch's snapshot, then deletes every
+    /// snapshot older than the epoch before it, so the store holds the
+    /// two newest epochs.
     pub fn persist(&self, model: &StreamModel) -> FlowResult<PathBuf> {
-        std::fs::create_dir_all(&self.dir).map_err(io_err)?;
-        let body = render(model);
-        let mut text = format!("{body}crc={:016x}\n", checksum(&body));
-        // A torn write loses the file's tail — including the crc line —
-        // which is exactly what the checksum must catch on load.
-        if fault::fires("stream.swap_torn_write") {
-            text.truncate(text.len() * 3 / 5);
+        let path = self.snapshot_path(model.epoch());
+        persist::write(&path, STREAM_SNAPSHOT, &[render(model)])?;
+        for (epoch, old) in self.epochs()? {
+            if epoch < model.epoch().saturating_sub(1) {
+                std::fs::remove_file(old)?;
+            }
         }
-        let final_path = self.snapshot_path(model.epoch());
-        let tmp_path = final_path.with_extension("snap.tmp");
-        std::fs::write(&tmp_path, &text).map_err(io_err)?;
-        std::fs::rename(&tmp_path, &final_path).map_err(io_err)?;
-        Ok(final_path)
+        Ok(path)
     }
 
     /// Loads and checksum-verifies one snapshot file.
     pub fn load(&self, path: &Path) -> FlowResult<StreamModel> {
-        let text = std::fs::read_to_string(path).map_err(io_err)?;
-        parse_snapshot(&text)
+        let record = persist::read_one(path, STREAM_SNAPSHOT)?.ok_or_else(|| FlowError::Io {
+            detail: format!("no snapshot at {}", path.display()),
+        })?;
+        parse_snapshot(&record)
     }
 
     /// Loads the newest epoch that passes its checksum, skipping
     /// corrupt or torn snapshots. Returns `None` on an empty store.
     pub fn load_latest(&self) -> FlowResult<Option<(PathBuf, StreamModel)>> {
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(e)),
-        };
-        let mut snaps: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.extension().is_some_and(|x| x == "snap")
-                    && p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("epoch-"))
-            })
-            .collect();
-        snaps.sort();
-        for path in snaps.into_iter().rev() {
+        for (_, path) in self.epochs()?.into_iter().rev() {
             match self.load(&path) {
                 Ok(model) => return Ok(Some((path, model))),
-                Err(_) => {
-                    flow_obs::counter("stream.snapshot_skipped", 1);
-                    continue;
-                }
+                Err(_) => flow_obs::counter("stream.snapshot_skipped", 1),
             }
         }
         Ok(None)
@@ -428,15 +372,15 @@ impl ModelRegistry {
     }
 
     /// Hot-swaps the current model version into a serving engine:
-    /// installs the fingerprint, eagerly reclaims cache entries keyed
-    /// under older models, and — on a sharded engine — rebuilds only
-    /// the shards whose sub-model actually changed, keeping the warm
-    /// caches of untouched shards. In-flight batches are untouched —
-    /// the engine takes its model per batch, so work that started on
-    /// an older version completes on it.
+    /// installs the model's kept served `Icm`, eagerly reclaims cache
+    /// entries keyed under older models, and — on a sharded engine —
+    /// rebuilds only the shards whose sub-model actually changed,
+    /// keeping the warm caches of untouched shards. In-flight batches
+    /// are untouched — the engine takes its model per batch, so work
+    /// that started on an older version completes on it.
     pub fn swap_into(&self, engine: &mut ServeEngine) -> SwapReport {
         let fingerprint = self.model.serve_fingerprint();
-        let invalidated = engine.install_model_icm(&self.model.serving_icm());
+        let invalidated = engine.install_model_icm(self.model.served());
         flow_obs::counter("stream.swaps", 1);
         flow_obs::event(|| {
             flow_obs::Event::new("stream.swap")
@@ -525,6 +469,33 @@ mod tests {
         let (latest_path, latest) = store.load_latest().unwrap().unwrap();
         assert_eq!(latest_path, good);
         assert_eq!(latest.epoch(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_keeps_the_two_newest_epochs() {
+        let dir = tmp_dir("bounded");
+        let store = SnapshotStore::new(&dir);
+        let mut model = trained_model();
+        let mut last = Vec::new();
+        for _ in 0..5 {
+            last.push(store.persist(&model).unwrap());
+            model.apply(&EpochDelta::default()).unwrap();
+        }
+        let epochs: Vec<u64> = store
+            .epochs()
+            .unwrap()
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
+        assert_eq!(epochs, [4, 5]);
+        // Tear epoch 5: recovery still lands on epoch 4.
+        let newest = &last[4];
+        let text = std::fs::read(newest).unwrap();
+        std::fs::write(newest, &text[..text.len() / 2]).unwrap();
+        let (path, latest) = store.load_latest().unwrap().unwrap();
+        assert_eq!(path, last[3]);
+        assert_eq!(latest.epoch(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

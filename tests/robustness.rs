@@ -335,7 +335,7 @@ fn corrupted_cache_read_quarantines_and_serving_continues() {
 
     // A torn read drops the tail: the intact prefix loads, the rest is
     // quarantined, and the engine still answers everything fresh.
-    fault::arm("serve.cache_read_corrupt", FaultSpec::always(0.0));
+    fault::arm("persist.torn_read", FaultSpec::always(0.0));
     let loaded = ServeCache::load_from_dir(&dir, 1 << 20).unwrap();
     assert!(loaded.quarantined() >= 1, "torn tail must be quarantined");
     assert!(loaded.len() < healthy);
@@ -370,9 +370,9 @@ fn torn_cache_write_loses_the_tail_but_never_the_loader() {
     engine.execute_batch(&icm, &queries);
     let healthy = engine.cache().len();
 
-    fault::arm("serve.cache_write_corrupt", FaultSpec::always(0.0));
+    fault::arm("persist.torn_write", FaultSpec::always(0.0));
     engine.cache().save_to_dir(&dir).unwrap();
-    assert_eq!(fault::fired_count("serve.cache_write_corrupt"), 1);
+    assert_eq!(fault::fired_count("persist.torn_write"), 1);
     fault::clear_all();
 
     // The torn file loads without error: intact prefix kept, damage
@@ -536,9 +536,9 @@ fn torn_snapshot_write_fails_the_checksum_and_the_last_good_epoch_survives() {
     // Epoch 2's write is torn mid-file: the rename still lands, but the
     // tail — checksum line included — is gone.
     model.apply(&delta2).unwrap();
-    fault::arm("stream.swap_torn_write", FaultSpec::always(0.0));
+    fault::arm("persist.torn_write", FaultSpec::always(0.0));
     let torn = store.persist(&model).unwrap();
-    assert_eq!(fault::fired_count("stream.swap_torn_write"), 1);
+    assert_eq!(fault::fired_count("persist.torn_write"), 1);
     fault::clear_all();
 
     let err = store.load(&torn).unwrap_err();
