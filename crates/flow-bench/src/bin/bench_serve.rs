@@ -61,10 +61,7 @@ use flow_graph::NodeId;
 use flow_icm::Icm;
 use flow_mcmc::{FlowEstimator, McmcConfig};
 use flow_obs::{MemorySink, MultiSink, Recorder, ScopedRecorder, StatsAggregator};
-use flow_serve::{
-    BreakerConfig, ExecutorConfig, FlowQuery, QueryOutcome, RetryPolicy, ServeCache, ServeConfig,
-    ServeEngine,
-};
+use flow_serve::{ExecutorConfig, FlowQuery, QueryOutcome, ServeCache, ServeConfig, ServeEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -250,11 +247,11 @@ fn main() {
         } else {
             ServeConfig {
                 executor: ExecutorConfig {
-                    retry: RetryPolicy::none(),
+                    max_attempts: 1,
                     admission_step_budget: 0,
                     ..Default::default()
                 },
-                breaker: BreakerConfig::disabled(),
+                breaker_trip_after: 0,
                 ..base
             }
         };

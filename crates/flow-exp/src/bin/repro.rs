@@ -5,7 +5,8 @@
 //!                    [--trace PATH] [--metrics]
 //! repro report <trace.jsonl> [--by-query]
 //! repro serve <queries.jsonl> [--cache-dir DIR] [--out DIR] [--seed N]
-//!                             [--trace PATH] [--stats-out PATH]
+//!                             [--admission-steps N] [--inject POINT]
+//!                             [--shards K] [--trace PATH] [--stats-out PATH]
 //! repro stream <events.jsonl> [--snap-dir DIR] [--out DIR] [--seed N]
 //! repro perf diff [--baseline PATH] [--bench PATH]... [--append PATH]
 //!                 [--label NAME]
@@ -40,11 +41,9 @@
 //! engine, writing `serve_results.jsonl` + `serve_stats.json` to
 //! `--out`; with `--cache-dir` the estimate cache persists across
 //! invocations, so a repeated run answers from warm cache entries.
-//! Resilience knobs: `--admission-steps` bounds the admitted step
-//! budget per batch (0 = unlimited), `--retries` caps transient-fault
-//! retry attempts, `--breaker-k` sets the per-chain circuit-breaker
-//! trip threshold (0 disables), `--no-resilience` disables all three
-//! for overhead measurement, and `--inject POINT` (fault-inject builds
+//! `--admission-steps` bounds the admitted step budget per batch (0 =
+//! unlimited, the default); retries and circuit breakers always run
+//! with the engine's defaults. `--inject POINT` (fault-inject builds
 //! only) arms a named serving-path fault point. `--trace PATH` writes
 //! the serving path's causal JSONL trace (every span/event carries the
 //! query's deterministic trace id; two identical invocations produce
@@ -78,17 +77,23 @@ use flow_exp::runners::{self, ExpConfig};
 use flow_exp::{CheckpointStore, Output};
 use std::sync::Arc;
 
+/// The experiment subcommands [`run`] dispatches.
+const EXPERIMENTS: [&str; 17] = [
+    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+    "table1", "table3", "ablation", "appendix", "flow", "all",
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table1|table3|ablation|appendix|flow|all> \
+        "usage: repro <{}> \
          [--scale S] [--seed N] [--out DIR] [--no-csv] [--resume] [--trace PATH] [--metrics]\n\
          repro report <trace.jsonl> [--by-query]\n\
          repro serve <queries.jsonl> [--cache-dir DIR] [--out DIR] [--seed N]\n\
-                     [--admission-steps N] [--retries N] [--breaker-k K]\n\
-                     [--no-resilience] [--inject POINT] [--shards K]\n\
+                     [--admission-steps N] [--inject POINT] [--shards K]\n\
                      [--trace PATH] [--stats-out PATH]\n\
          repro stream <events.jsonl> [--snap-dir DIR] [--out DIR] [--seed N]\n\
-         repro perf diff [--baseline PATH] [--bench PATH]... [--append PATH] [--label NAME]"
+         repro perf diff [--baseline PATH] [--bench PATH]... [--append PATH] [--label NAME]",
+        EXPERIMENTS.join("|")
     );
     std::process::exit(2);
 }
@@ -173,22 +178,6 @@ fn run_serve_command(args: &[String]) -> ! {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--retries" => {
-                i += 1;
-                serve_args.retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--breaker-k" => {
-                i += 1;
-                serve_args.breaker_k = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--no-resilience" => serve_args.no_resilience = true,
             "--shards" => {
                 i += 1;
                 serve_args.shards = args
@@ -318,6 +307,9 @@ fn main() {
             }
         }
     }
+    if !EXPERIMENTS.contains(&command.as_str()) {
+        usage();
+    }
     let mut cfg = ExpConfig::default();
     let mut out_dir = Some("results".to_string());
     let mut resume = false;
@@ -379,21 +371,10 @@ fn main() {
             _ => flow_obs::set_global(Some(Arc::new(flow_obs::MultiSink::new(sinks)))),
         }
     }
-    // Checkpoints live next to the CSVs; without an output directory
-    // the flow runner still works, it just cannot persist or resume.
-    let store = out_dir.as_ref().and_then(|d| {
-        match CheckpointStore::open(std::path::Path::new(d).join("checkpoints")) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("warning: cannot open checkpoint directory: {e}");
-                None
-            }
-        }
-    });
     // Progress reporting only; results depend solely on the seed.
     #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
-    run(&command, &cfg, &out, store.as_ref(), resume);
+    run(&command, &cfg, &out, resume);
     // Flush telemetry before the done line so operator output reads in
     // order: trace file first, then metrics, then the runtime summary.
     flow_obs::set_global(None);
@@ -415,13 +396,7 @@ fn main() {
     );
 }
 
-fn run(
-    command: &str,
-    cfg: &ExpConfig,
-    out: &Output,
-    store: Option<&CheckpointStore>,
-    resume: bool,
-) {
+fn run(command: &str, cfg: &ExpConfig, out: &Output, resume: bool) {
     match command {
         "fig1" => {
             runners::fig01_synthetic_bucket::run_fig1(cfg, out);
@@ -469,7 +444,23 @@ fn run(
             runners::table3::run_table3(cfg, out);
         }
         "flow" => {
-            if let Err(e) = runners::flow_query::run_flow_checkpointed(cfg, out, store, resume) {
+            // Checkpoints live next to the CSVs; without an output
+            // directory the flow runner still works, it just cannot
+            // persist or resume.
+            let store = match out
+                .dir()
+                .map(|d| CheckpointStore::open(d.join("checkpoints")))
+            {
+                Some(Ok(store)) => Some(store),
+                Some(Err(e)) => {
+                    eprintln!("warning: cannot open checkpoint directory: {e}");
+                    None
+                }
+                None => None,
+            };
+            if let Err(e) =
+                runners::flow_query::run_flow_checkpointed(cfg, out, store.as_ref(), resume)
+            {
                 eprintln!("error: flow query failed: {e}");
                 std::process::exit(1);
             }

@@ -2,7 +2,6 @@
 //! directory.
 
 use crate::bucket::BucketReport;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Writes experiment results to stdout and a results directory.
@@ -39,21 +38,31 @@ impl Output {
         println!("{}", text.as_ref());
     }
 
-    /// Writes rows to `<dir>/<name>.csv` (no-op without a directory).
-    /// The first row is the header.
-    pub fn csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
+    /// Writes `text` to `<dir>/<name>`, creating the directory on
+    /// demand, and reports the path (no-op without a directory).
+    pub fn write_file(&self, name: &str, text: &str) -> std::io::Result<()> {
         let Some(dir) = &self.dir else {
             return Ok(());
         };
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", header.join(","))?;
-        for row in rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
+        let context = |what: &str, path: &Path, e: std::io::Error| {
+            std::io::Error::new(e.kind(), format!("cannot {what} {}: {e}", path.display()))
+        };
+        std::fs::create_dir_all(dir).map_err(|e| context("create", dir, e))?;
+        let path = dir.join(name);
+        std::fs::write(&path, text).map_err(|e| context("write", &path, e))?;
         println!("  [wrote {}]", path.display());
         Ok(())
+    }
+
+    /// Writes rows to `<dir>/<name>.csv` (no-op without a directory).
+    /// The first row is the header.
+    pub fn csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
+        let mut text = header.join(",") + "\n";
+        for row in rows {
+            text.push_str(&row.join(","));
+            text.push('\n');
+        }
+        self.write_file(&format!("{name}.csv"), &text)
     }
 
     /// Prints an aligned text table.

@@ -108,9 +108,6 @@ pub fn attributed_pairs(
         if n_local < 3 || m_local == 0 {
             continue;
         }
-        if known_flows > 0 && m_local > 1_500 {
-            continue; // conditional chains on hub egos are too slow
-        }
         let sub_model = ego_beta_icm(&ctx.trained, &ego).expected_icm();
         let local_focus = ego.focus;
         let locals: Vec<NodeId> = (1..n_local as u32).map(NodeId).collect();

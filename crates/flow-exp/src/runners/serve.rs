@@ -38,17 +38,14 @@ use flow_core::{FlowError, FlowResult};
 use flow_icm::synth::{skewed_probability_mixture, synthetic_icm};
 use flow_icm::Icm;
 use flow_serve::{
-    parse_query_file, BreakerConfig, ModelSpec, QueryOutcome, RetryPolicy, ServeCache, ServeConfig,
-    ServeEngine, Served,
+    parse_query_file, ModelSpec, QueryOutcome, ServeCache, ServeConfig, ServeEngine, Served,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Options for the `serve` subcommand. The resilience knobs default to
-/// "engine default" when zero/`None`.
+/// Options for the `serve` subcommand.
 #[derive(Clone, Debug, Default)]
 pub struct ServeArgs {
     /// Query-file path.
@@ -59,12 +56,6 @@ pub struct ServeArgs {
     pub seed: u64,
     /// Admission step budget per batch (0 = unlimited).
     pub admission_steps: u64,
-    /// Executor attempts per plan including the first (0 = default).
-    pub retries: u32,
-    /// Circuit-breaker trip threshold (`Some(0)` disables it).
-    pub breaker_k: Option<u32>,
-    /// Disable retry, breaker, and admission budget wholesale.
-    pub no_resilience: bool,
     /// Fault point to arm for chaos runs (fault-inject builds only).
     pub inject: Option<String>,
     /// Write the batch's causal JSONL trace here.
@@ -126,6 +117,7 @@ fn build_model(spec: &ModelSpec) -> Icm {
     Icm::new(builder.build(), probs)
 }
 
+/// Renders one outcome as a deterministic JSONL line.
 fn outcome_jsonl(index: usize, outcome: &QueryOutcome) -> String {
     match outcome {
         QueryOutcome::Answered(a) => {
@@ -159,6 +151,18 @@ fn outcome_jsonl(index: usize, outcome: &QueryOutcome) -> String {
     }
 }
 
+/// Renders a batch's outcomes as deterministic JSONL, one line per
+/// query in submission order: the `repro serve` results file and the
+/// `repro stream` per-epoch answer files.
+pub(crate) fn outcomes_jsonl(outcomes: &[QueryOutcome]) -> String {
+    let mut text = String::new();
+    for (i, o) in outcomes.iter().enumerate() {
+        text.push_str(&outcome_jsonl(i, o));
+        text.push('\n');
+    }
+    text
+}
+
 fn served_label(outcome: &QueryOutcome) -> &'static str {
     match outcome {
         QueryOutcome::Answered(a) => match a.served {
@@ -170,21 +174,6 @@ fn served_label(outcome: &QueryOutcome) -> &'static str {
         QueryOutcome::Rejected { .. } => "rejected",
         QueryOutcome::Failed(_) => "failed",
     }
-}
-
-fn write_text(dir: &Path, name: &str, text: &str) -> FlowResult<()> {
-    std::fs::create_dir_all(dir).map_err(|e| FlowError::Io {
-        detail: format!("cannot create {}: {e}", dir.display()),
-    })?;
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).map_err(|e| FlowError::Io {
-        detail: format!("cannot create {}: {e}", path.display()),
-    })?;
-    f.write_all(text.as_bytes()).map_err(|e| FlowError::Io {
-        detail: format!("cannot write {}: {e}", path.display()),
-    })?;
-    println!("  [wrote {}]", path.display());
-    Ok(())
 }
 
 /// Arms one named serving-path or persistence fault point for a chaos
@@ -229,29 +218,15 @@ fn arm_injection(point: &str) -> FlowResult<()> {
     })
 }
 
-/// Resolves CLI resilience knobs over the engine defaults.
+/// The engine configuration: defaults plus the CLI's seed, admission
+/// budget and shard count.
 fn resolve_config(args: &ServeArgs) -> ServeConfig {
     let mut config = ServeConfig {
         engine_seed: args.seed,
+        shards: args.shards.max(1),
         ..Default::default()
     };
-    if args.admission_steps > 0 {
-        config.executor.admission_step_budget = args.admission_steps;
-    }
-    if args.retries > 0 {
-        config.executor.retry.max_attempts = args.retries;
-    }
-    if let Some(k) = args.breaker_k {
-        config.breaker.trip_after = k;
-    }
-    if args.no_resilience {
-        config.executor.admission_step_budget = 0;
-        config.executor.retry = RetryPolicy::none();
-        config.breaker = BreakerConfig::disabled();
-    }
-    if args.shards > 0 {
-        config.shards = args.shards;
-    }
+    config.executor.admission_step_budget = args.admission_steps;
     config
 }
 
@@ -360,11 +335,7 @@ pub fn run_serve(args: &ServeArgs, out: &Output) -> FlowResult<ServeReport> {
         }
     }
 
-    let mut results = String::new();
-    for (i, o) in outcomes.iter().enumerate() {
-        results.push_str(&outcome_jsonl(i, o));
-        results.push('\n');
-    }
+    let results = outcomes_jsonl(&outcomes);
     let stats = engine.stats();
     let stats_json = format!(
         "{{\n  \"queries\": {},\n  \"answered\": {},\n  \"cache_hits\": {},\n  \"fresh\": {},\n  \"refined\": {},\n  \"rejected\": {},\n  \"failed\": {},\n  \"plans\": {},\n  \"steps\": {},\n  \"degraded\": {},\n  \"retries\": {},\n  \"shed\": {},\n  \"breaker_answers\": {},\n  \"cache_quarantined\": {}\n}}\n",
@@ -384,10 +355,8 @@ pub fn run_serve(args: &ServeArgs, out: &Output) -> FlowResult<ServeReport> {
         engine.cache().quarantined()
     );
 
-    if let Some(dir) = out.dir() {
-        write_text(dir, "serve_results.jsonl", &results)?;
-        write_text(dir, "serve_stats.json", &stats_json)?;
-    }
+    out.write_file("serve_results.jsonl", &results)?;
+    out.write_file("serve_stats.json", &stats_json)?;
 
     let rows: Vec<Vec<String>> = outcomes
         .iter()
@@ -573,6 +542,43 @@ mod tests {
         let four = run("s4", 4);
         for line in four.lines() {
             assert!(line.contains("\"status\":\"answered\""), "{line}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn admission_budget_sheds_queries_as_structured_rejections() {
+        let dir = std::env::temp_dir().join(format!("flowexp-serve-shed-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let queries = dir.join("queries.jsonl");
+        std::fs::write(&queries, QUERY_FILE).unwrap();
+        // Two plans (sources 0 and 3); a one-step budget admits only
+        // the first, which admission never sheds.
+        let args = ServeArgs {
+            queries: queries.display().to_string(),
+            seed: 3,
+            admission_steps: 1,
+            ..Default::default()
+        };
+        let report = run_serve(&args, &Output::to_dir(dir.join("out"))).unwrap();
+        assert_eq!(report.hard_failures, 0);
+        assert_eq!((report.answered, report.rejected), (2, 1));
+        let results = std::fs::read_to_string(dir.join("out").join("serve_results.jsonl")).unwrap();
+        assert!(!results.contains("\"status\":\"failed\""), "{results}");
+        let rejected: Vec<serde_json::Value> = results
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .filter(|v: &serde_json::Value| {
+                matches!(v.get("status"), Some(serde_json::Value::Str(s)) if s == "rejected")
+            })
+            .collect();
+        assert_eq!(rejected.len(), 1, "{results}");
+        for v in &rejected {
+            assert!(
+                matches!(v.get("retry_after_ms"), Some(serde_json::Value::U64(ms)) if *ms >= 1),
+                "{results}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -27,13 +27,13 @@
 //! error, 3 = swap-equivalence mismatch.
 
 use crate::output::Output;
+use crate::runners::serve::outcomes_jsonl;
 use flow_core::{FlowError, FlowResult};
 use flow_graph::{DiGraph, NodeId};
 use flow_learn::summary::TimingAssumption;
 use flow_mcmc::McmcConfig;
 use flow_serve::{FlowQuery, QueryOutcome, ServeConfig, ServeEngine};
 use flow_stream::{IngestConfig, Ingestor, ModelRegistry, Push, SnapshotStore, StreamModel};
-use std::io::Write as _;
 use std::path::Path;
 
 /// Options for the `stream` subcommand.
@@ -61,10 +61,6 @@ pub struct StreamReport {
     /// Whether the final warm-engine answers matched a cold engine
     /// byte-for-byte.
     pub equivalence_ok: bool,
-}
-
-fn io_err(detail: String) -> FlowError {
-    FlowError::Io { detail }
 }
 
 /// Serving configuration for the replay: small fixed sample counts so
@@ -111,62 +107,6 @@ fn derive_queries(graph: &DiGraph) -> Vec<FlowQuery> {
     queries
 }
 
-/// Renders one outcome as a deterministic JSONL line (same field set as
-/// `repro serve`'s results file).
-fn outcome_jsonl(index: usize, outcome: &QueryOutcome) -> String {
-    match outcome {
-        QueryOutcome::Answered(a) => {
-            let mut degradations: Vec<String> = a
-                .degradation
-                .iter()
-                .map(|d| format!("\"{}\"", d.obs_name()))
-                .collect();
-            degradations.sort();
-            format!(
-                "{{\"query\":{index},\"status\":\"answered\",\"estimate\":{:?},\"half_width\":{:?},\"samples\":{},\"degradation\":[{}]}}",
-                a.estimate,
-                a.half_width,
-                a.samples,
-                degradations.join(",")
-            )
-        }
-        QueryOutcome::Rejected { error } => {
-            let retry_after = match error {
-                FlowError::Overloaded { retry_after_ms, .. } => *retry_after_ms,
-                _ => 0,
-            };
-            format!(
-                "{{\"query\":{index},\"status\":\"rejected\",\"retry_after_ms\":{retry_after}}}"
-            )
-        }
-        QueryOutcome::Failed(e) => format!(
-            "{{\"query\":{index},\"status\":\"failed\",\"error\":{:?}}}",
-            e.to_string()
-        ),
-    }
-}
-
-fn render_batch(outcomes: &[QueryOutcome]) -> String {
-    let mut text = String::new();
-    for (i, o) in outcomes.iter().enumerate() {
-        text.push_str(&outcome_jsonl(i, o));
-        text.push('\n');
-    }
-    text
-}
-
-fn write_text(dir: &Path, name: &str, text: &str) -> FlowResult<()> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| io_err(format!("cannot create {}: {e}", dir.display())))?;
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path)
-        .map_err(|e| io_err(format!("cannot create {}: {e}", path.display())))?;
-    f.write_all(text.as_bytes())
-        .map_err(|e| io_err(format!("cannot write {}: {e}", path.display())))?;
-    println!("  [wrote {}]", path.display());
-    Ok(())
-}
-
 /// One sealed epoch's bookkeeping for the stats file.
 struct EpochRow {
     epoch: u64,
@@ -178,8 +118,9 @@ struct EpochRow {
 
 /// Runs the stream subcommand end to end.
 pub fn run_stream(args: &StreamArgs, out: &Output) -> FlowResult<StreamReport> {
-    let text = std::fs::read_to_string(&args.events)
-        .map_err(|e| io_err(format!("cannot read event log {}: {e}", args.events)))?;
+    let text = std::fs::read_to_string(&args.events).map_err(|e| FlowError::Io {
+        detail: format!("cannot read event log {}: {e}", args.events),
+    })?;
 
     let snap_dir = match (&args.snap_dir, out.dir()) {
         (Some(dir), _) => Some(dir.clone().into()),
@@ -227,18 +168,15 @@ pub fn run_stream(args: &StreamArgs, out: &Output) -> FlowResult<StreamReport> {
         let swap = registry.swap_into(engine);
         let icm = registry.model().serving_icm();
         let outcomes = engine.execute_batch(&icm, queries);
-        let rendered = render_batch(&outcomes);
+        let rendered = outcomes_jsonl(&outcomes);
         let answers_changed = last_answers
             .as_ref()
             .map(|prev| prev != &rendered)
             .unwrap_or(true);
-        if let Some(dir) = out.dir() {
-            write_text(
-                dir,
-                &format!("stream_serve_epoch{}.jsonl", report.epoch),
-                &rendered,
-            )?;
-        }
+        out.write_file(
+            &format!("stream_serve_epoch{}.jsonl", report.epoch),
+            &rendered,
+        )?;
         out.line(format!(
             "epoch {}: {} cascades sealed, fingerprint {:016x}, {} cache entries invalidated, answers {}",
             report.epoch,
@@ -342,8 +280,8 @@ pub fn run_stream(args: &StreamArgs, out: &Output) -> FlowResult<StreamReport> {
     // produce the warm, swapped-through engine's answers byte-for-byte.
     let icm = registry.model().serving_icm();
     let mut cold = serve_engine(args.seed)?;
-    let cold_rendered = render_batch(&cold.execute_batch(&icm, &queries));
-    let warm_rendered = render_batch(&final_outcomes);
+    let cold_rendered = outcomes_jsonl(&cold.execute_batch(&icm, &queries));
+    let warm_rendered = outcomes_jsonl(&final_outcomes);
     let equivalence_ok = cold_rendered == warm_rendered;
 
     let stats = ingestor.stats();
@@ -378,9 +316,7 @@ pub fn run_stream(args: &StreamArgs, out: &Output) -> FlowResult<StreamReport> {
         equivalence_ok,
         epoch_json.join(",\n")
     );
-    if let Some(dir) = out.dir() {
-        write_text(dir, "stream_stats.json", &stats_json)?;
-    }
+    out.write_file("stream_stats.json", &stats_json)?;
 
     let rows: Vec<Vec<String>> = epochs
         .iter()

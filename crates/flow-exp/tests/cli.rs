@@ -9,10 +9,22 @@ fn repro() -> Command {
 
 #[test]
 fn unknown_subcommand_fails_with_usage() {
-    let out = repro().arg("figNaN").output().expect("spawn");
+    // Run in an empty directory: a rejected subcommand must not create
+    // its default `results/` output there.
+    let cwd = std::env::temp_dir().join(format!("repro-cli-nan-{}", std::process::id()));
+    std::fs::remove_dir_all(&cwd).ok();
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = repro()
+        .arg("figNaN")
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "stderr: {err}");
+    let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(left.is_empty(), "figNaN created {left:?}");
+    std::fs::remove_dir_all(&cwd).ok();
     let none = repro().output().expect("spawn");
     assert!(!none.status.success());
 }
@@ -54,6 +66,10 @@ fn fig11_writes_csv_to_out_dir() {
     let csv = std::fs::read_to_string(dir.join("fig11_multimodal.csv")).expect("csv written");
     assert!(csv.starts_with("method,a,b,c"));
     assert!(csv.lines().count() > 1_000, "EM restarts + Bayes samples");
+    assert!(
+        !dir.join("checkpoints").exists(),
+        "only `flow` checkpoints, so only `flow` opens the directory"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -19,8 +19,7 @@
 //!
 //! The on-disk format is a deliberately boring line-based text format
 //! (`to_text`/`from_text`) so it needs no serialization dependency and
-//! stays greppable; with the `serde` feature the types also derive
-//! `Serialize`/`Deserialize`.
+//! stays greppable.
 //!
 //! [`capture`]: ChainCheckpoint::capture
 
@@ -35,7 +34,6 @@ const HEADER: &str = "flowckpt v1";
 
 /// A serializable snapshot of one Metropolis–Hastings chain.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChainCheckpoint {
     /// Edge count of the model the chain was sampling (shape check on
     /// restore).
@@ -285,7 +283,6 @@ impl ChainCheckpoint {
 /// indicator series collected so far, so a resumed
 /// [`crate::FlowEstimator`] run reproduces the full series exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowCheckpoint {
     /// The chain state at the capture point.
     pub chain: ChainCheckpoint,

@@ -74,7 +74,6 @@ use rand::Rng;
 
 /// Which per-edge selection weight the single-flip proposal uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProposalKind {
     /// Weight = probability of the activity the flip would *produce*:
     /// `p` for an inactive edge, `1 − p` for an active one. This is the

@@ -327,9 +327,23 @@ impl ServeCache {
         if !quarantined.is_empty() {
             let qdir = dir.join("quarantine");
             std::fs::create_dir_all(&qdir)?;
-            for (i, (reason, block)) in quarantined.iter().enumerate() {
+            // Number on from the highest block an earlier load kept, so
+            // no load overwrites another's evidence.
+            let next = std::fs::read_dir(&qdir)?
+                .filter_map(|e| e.ok())
+                .filter_map(|e| {
+                    let name = e.file_name();
+                    let n = name
+                        .to_str()?
+                        .strip_prefix("block-")?
+                        .strip_suffix(".txt")?;
+                    n.parse::<u64>().ok()
+                })
+                .max()
+                .map_or(0, |n| n + 1);
+            for (n, (reason, block)) in (next..).zip(&quarantined) {
                 let body = format!("# quarantined: {reason}\n{block}");
-                std::fs::write(qdir.join(format!("block-{i:04}.txt")), body)?;
+                std::fs::write(qdir.join(format!("block-{n:04}.txt")), body)?;
             }
             cache.quarantined = quarantined.len() as u64;
             flow_obs::counter("serve.cache.quarantined", quarantined.len() as u64);
@@ -532,6 +546,25 @@ mod tests {
             dir.join("quarantine").join("block-0000.txt").exists(),
             "corrupt bytes must be preserved in the sidecar"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repeated_damaged_loads_keep_every_quarantined_block() {
+        let dir = tmp_dir("repeat-quarantine");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        for text in ["first damaged file\n", "second damaged file\n"] {
+            std::fs::write(dir.join("cache.flowserve"), text).unwrap();
+            let cache = ServeCache::load_from_dir(&dir, 1 << 20).unwrap();
+            assert_eq!(cache.quarantined(), 1);
+        }
+        let qdir = dir.join("quarantine");
+        assert_eq!(std::fs::read_dir(&qdir).unwrap().count(), 2);
+        let first = std::fs::read_to_string(qdir.join("block-0000.txt")).unwrap();
+        let second = std::fs::read_to_string(qdir.join("block-0001.txt")).unwrap();
+        assert!(first.contains("first damaged file"), "{first}");
+        assert!(second.contains("second damaged file"), "{second}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

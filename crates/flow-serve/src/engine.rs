@@ -28,7 +28,7 @@
 //! [`DegradationReason::PrecisionNotReached`] rather than silently
 //! under-delivering.
 
-use crate::breaker::{BreakerConfig, BreakerDecision, CircuitBreaker};
+use crate::breaker::{BreakerDecision, CircuitBreaker};
 use crate::cache::{half_width, CacheEntry, ServeCache};
 use crate::exec::{run_plans_report, ExecutorConfig, PlanStatus};
 use crate::plan::{
@@ -49,10 +49,11 @@ pub struct ServeConfig {
     pub mcmc: McmcConfig,
     /// Tolerance applied when a query does not state one.
     pub default_tolerance: f64,
-    /// Worker pool, admission policy, and retry policy.
+    /// Worker pool, admission policy, and retry budget.
     pub executor: ExecutorConfig,
-    /// Per-chain circuit breaker shape.
-    pub breaker: BreakerConfig,
+    /// Consecutive stall-like failures that open a chain's circuit
+    /// breaker (0 disables the breaker).
+    pub breaker_trip_after: u32,
     /// Estimate-cache byte budget (0 disables caching).
     pub cache_bytes: usize,
     /// Engine seed; chain seeds derive from it and each chain key.
@@ -70,7 +71,7 @@ impl Default for ServeConfig {
             mcmc: McmcConfig::default(),
             default_tolerance: 0.02,
             executor: ExecutorConfig::default(),
-            breaker: BreakerConfig::default(),
+            breaker_trip_after: 5,
             cache_bytes: 8 << 20,
             engine_seed: 0,
             max_samples: 200_000,
@@ -92,7 +93,7 @@ impl ServeConfig {
 }
 
 /// Validating constructor for [`ServeEngine`]:
-/// `ServeEngine::builder().config(..).cache(..).model_fingerprint(..).build()?`.
+/// `ServeEngine::builder().config(..).cache(..).build()?`.
 /// A [`ServeConfig`] is the one way to configure an engine.
 ///
 /// Every invalid configuration is a typed [`FlowError::Config`] at
@@ -103,7 +104,6 @@ impl ServeConfig {
 pub struct EngineBuilder {
     config: ServeConfig,
     cache: Option<ServeCache>,
-    model_fingerprint: Option<u64>,
 }
 
 impl EngineBuilder {
@@ -123,23 +123,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Declares the model version the engine will serve: entries of a
-    /// provided cache keyed on any other fingerprint are invalidated at
-    /// build, so a recovered cache can never answer for a retrained
-    /// model.
-    #[must_use]
-    pub fn model_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.model_fingerprint = Some(fingerprint);
-        self
-    }
-
     /// Validates and builds the engine.
     pub fn build(self) -> FlowResult<ServeEngine> {
-        let EngineBuilder {
-            config,
-            cache,
-            model_fingerprint,
-        } = self;
+        let EngineBuilder { config, cache } = self;
         let invalid = |detail: String| Err(FlowError::Config { detail });
         if !(config.default_tolerance.is_finite() && config.default_tolerance > 0.0) {
             return invalid(format!(
@@ -153,9 +139,9 @@ impl EngineBuilder {
         if config.executor.workers == 0 {
             return invalid("executor needs at least one worker".into());
         }
-        if config.executor.retry.max_attempts == 0 {
+        if config.executor.max_attempts == 0 {
             return invalid(
-                "retry policy needs at least one attempt (max_attempts = 0 would \
+                "executor needs at least one attempt per plan (max_attempts = 0 would \
                  never run a plan)"
                     .into(),
             );
@@ -164,11 +150,7 @@ impl EngineBuilder {
             return invalid("shard count must be at least 1 (1 = unsharded)".into());
         }
         let cache = cache.unwrap_or_else(|| ServeCache::new(config.cache_bytes));
-        let mut engine = ServeEngine::from_parts(config, cache, 0);
-        if let Some(fp) = model_fingerprint {
-            engine.cache.invalidate_stale(fp);
-        }
-        Ok(engine)
+        Ok(ServeEngine::from_parts(config, cache, 0))
     }
 }
 
@@ -355,7 +337,7 @@ impl ServeEngine {
         ServeEngine {
             config,
             cache,
-            breaker: CircuitBreaker::new(config.breaker),
+            breaker: CircuitBreaker::new(config.breaker_trip_after),
             stats: ServeStats::default(),
             shard_slot,
             sharding: None,

@@ -3,19 +3,20 @@
 //!
 //! Serving must fail *predictably* under load, so admission is decided
 //! before any thread runs: the whole batch is submitted to a bounded
-//! queue first, and every plan beyond `queue_capacity` — or beyond the
-//! configured [`ExecutorConfig::admission_step_budget`] of estimated
-//! chain steps — is shed up front with a typed
-//! [`FlowError::Overloaded`] carrying a deterministic retry-after hint.
-//! That makes backpressure deterministic: which plans get `Rejected`
-//! depends only on batch order, capacity, and estimated cost, never on
-//! worker timing.
+//! queue first, and every plan beyond its fixed capacity of
+//! [`MAX_QUEUED_PLANS`] plans — or beyond the configured
+//! [`ExecutorConfig::admission_step_budget`] of estimated chain steps —
+//! is shed up front with a typed [`FlowError::Overloaded`] carrying a
+//! deterministic retry-after hint. That makes backpressure
+//! deterministic: which plans get `Rejected` depends only on batch
+//! order and estimated cost, never on worker timing.
 //!
 //! Workers retry *transient* plan failures (stalled chains, I/O
-//! hiccups; see [`flow_core::Transience`]) with a deterministic capped
-//! exponential backoff ([`RetryPolicy`]); permanent errors surface
-//! immediately. Each retry emits a `serve.retry` event, each shed plan
-//! a `serve.shed` event.
+//! hiccups; see [`flow_core::Transience`]) within
+//! [`ExecutorConfig::max_attempts`] attempts per plan, with a fixed
+//! deterministic backoff of 2 ms doubling up to a 50 ms cap; permanent
+//! errors surface immediately. Each retry emits a `serve.retry` event,
+//! each shed plan a `serve.shed` event.
 //!
 //! The calling thread drains the queue itself, beside
 //! `min(workers, admitted) − 1` scoped helper threads, so a batch
@@ -43,65 +44,41 @@ use std::time::Duration;
 /// batch, not of measured machine speed.
 const ASSUMED_STEPS_PER_MS: u64 = 500;
 
-/// Deterministic retry policy for transient plan failures.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per plan, including the first (floored at 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in milliseconds.
-    pub base_backoff_ms: u64,
-    /// Backoff cap, in milliseconds.
-    pub max_backoff_ms: u64,
+/// Maximum plans admitted per batch; the rest are rejected.
+pub const MAX_QUEUED_PLANS: usize = 256;
+
+/// Backoff before the first retry, in milliseconds.
+const FIRST_BACKOFF_MS: u64 = 2;
+
+/// Backoff cap, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 50;
+
+/// Backoff before retry number `attempt` (1-based): capped
+/// exponential, no jitter — retries must not perturb determinism.
+fn backoff_ms(attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1).min(16);
+    (FIRST_BACKOFF_MS << shift).min(BACKOFF_CAP_MS)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 2,
-            max_backoff_ms: 50,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
-    }
-
-    /// Backoff before retry number `attempt` (1-based): capped
-    /// exponential, no jitter — retries must not perturb determinism.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(16);
-        (self.base_backoff_ms << shift).min(self.max_backoff_ms)
-    }
-}
-
-/// Worker-pool shape and admission policy.
+/// Worker-pool shape, admission policy and retry budget.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecutorConfig {
     /// Fixed worker-thread count (floored at 1).
     pub workers: usize,
-    /// Maximum plans admitted per batch; the rest are rejected.
-    pub queue_capacity: usize,
     /// Maximum estimated chain steps admitted per batch; plans beyond
     /// it are shed with [`FlowError::Overloaded`]. `0` = unlimited.
     pub admission_step_budget: u64,
-    /// Retry policy for transient plan failures.
-    pub retry: RetryPolicy,
+    /// Attempts per plan for transient failures, including the first;
+    /// `1` never retries.
+    pub max_attempts: u32,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             workers: 4,
-            queue_capacity: 256,
             admission_step_budget: 0,
-            retry: RetryPolicy::default(),
+            max_attempts: 3,
         }
     }
 }
@@ -174,13 +151,13 @@ pub fn run_plans_report(
         let saturated = fault::fires("serve.queue_saturate");
         let over_budget =
             budget > 0 && !queue.is_empty() && queued_steps.saturating_add(cost) > budget;
-        if queue.len() >= config.queue_capacity {
+        if queue.len() >= MAX_QUEUED_PLANS {
             flow_obs::counter("serve.queue.rejected", 1);
             flow_obs::event(|| {
                 flow_obs::Event::new("serve.plan.rejected").u64("plan", plan.id as u64)
             });
             results[plan.id] = Some(PlanStatus::Rejected(overloaded(
-                format!("submission queue full ({} plans)", config.queue_capacity),
+                format!("submission queue full ({MAX_QUEUED_PLANS} plans)"),
                 queued_steps,
                 config.workers,
             )));
@@ -213,7 +190,6 @@ pub fn run_plans_report(
     flow_obs::gauge("serve.queue.depth", queue.len() as f64);
 
     let helpers = config.workers.max(1).min(queue.len()).saturating_sub(1);
-    let retry = config.retry;
     let retries = AtomicU64::new(0);
     let queue = Mutex::new(queue);
     let slots = Mutex::new(&mut results);
@@ -231,7 +207,7 @@ pub fn run_plans_report(
         // a single-writer stream per plan.
         let _t = TraceContext::enter(plan.trace());
         flow_obs::event(|| flow_obs::Event::new("serve.plan.start").u64("plan", plan.id as u64));
-        let status = execute_with_retry(icm, plan, &retry, &retries);
+        let status = execute_with_retry(icm, plan, config.max_attempts, &retries);
         flow_obs::event(|| {
             let e = flow_obs::Event::new("serve.plan.finish").u64("plan", plan.id as u64);
             match &status {
@@ -273,16 +249,17 @@ pub fn run_plans_report(
     (statuses, report)
 }
 
-/// Runs one plan, retrying transient failures per the policy. The
-/// `serve.worker_stall` fault point injects a stalled-chain error
-/// before execution, exercising exactly this retry path.
+/// Runs one plan, retrying transient failures up to `max_attempts`
+/// attempts in all. The `serve.worker_stall` fault point injects a
+/// stalled-chain error before execution, exercising exactly this retry
+/// path.
 fn execute_with_retry(
     icm: &Icm,
     plan: &Plan,
-    retry: &RetryPolicy,
+    max_attempts: u32,
     retries: &AtomicU64,
 ) -> PlanStatus {
-    let max_attempts = retry.max_attempts.max(1);
+    let max_attempts = max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
         let result = {
@@ -300,7 +277,7 @@ fn execute_with_retry(
         match result {
             Ok(outcome) => return PlanStatus::Completed(outcome),
             Err(e) if e.is_transient() && attempt < max_attempts => {
-                let backoff = retry.backoff_ms(attempt);
+                let backoff = backoff_ms(attempt);
                 retries.fetch_add(1, Ordering::Relaxed);
                 flow_obs::counter("serve.retry", 1);
                 flow_obs::event(|| {
@@ -352,29 +329,34 @@ mod tests {
 
     #[test]
     fn overflow_plans_are_rejected_deterministically() {
-        let model = icm();
-        let queries: Vec<FlowQuery> = (0..4)
-            .map(|s| FlowQuery::flow(NodeId(s), NodeId(4)))
+        // A path graph with one source per plan: two plans more than
+        // the queue holds.
+        let n = MAX_QUEUED_PLANS as u32 + 3;
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+        let model = Icm::new(graph_from_edges(n as usize, &edges), vec![0.5; edges.len()]);
+        let queries: Vec<FlowQuery> = (0..n - 1)
+            .map(|s| FlowQuery::flow(NodeId(s), NodeId(n - 1)))
             .collect();
         let batch = plan_batch(&model, &mut ServeCache::new(1 << 20), &cfg(), &queries);
-        assert_eq!(batch.plans.len(), 4);
+        assert_eq!(batch.plans.len(), MAX_QUEUED_PLANS + 2);
         let exec = ExecutorConfig {
             workers: 2,
-            queue_capacity: 2,
             ..Default::default()
         };
         for _ in 0..3 {
-            let (statuses, _) = run_plans_report(&model, &batch.plans, &exec);
-            assert!(matches!(statuses[0], PlanStatus::Completed(_)));
-            assert!(matches!(statuses[1], PlanStatus::Completed(_)));
-            assert!(matches!(
-                statuses[2],
-                PlanStatus::Rejected(FlowError::Overloaded { .. })
-            ));
-            assert!(matches!(
-                statuses[3],
-                PlanStatus::Rejected(FlowError::Overloaded { .. })
-            ));
+            let (statuses, report) = run_plans_report(&model, &batch.plans, &exec);
+            let (admitted, overflow) = statuses.split_at(MAX_QUEUED_PLANS);
+            assert!(admitted
+                .iter()
+                .all(|s| matches!(s, PlanStatus::Completed(_))));
+            assert_eq!(overflow.len(), 2);
+            for s in overflow {
+                assert!(matches!(
+                    s,
+                    PlanStatus::Rejected(FlowError::Overloaded { .. })
+                ));
+            }
+            assert_eq!(report.shed, 0, "a full queue rejects, it does not shed");
         }
     }
 
@@ -424,13 +406,8 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_capped_exponential() {
-        let retry = RetryPolicy {
-            max_attempts: 6,
-            base_backoff_ms: 4,
-            max_backoff_ms: 20,
-        };
-        let schedule: Vec<u64> = (1..=5).map(|a| retry.backoff_ms(a)).collect();
-        assert_eq!(schedule, vec![4, 8, 16, 20, 20]);
+        let schedule: Vec<u64> = (1..=7).map(backoff_ms).collect();
+        assert_eq!(schedule, vec![2, 4, 8, 16, 32, 50, 50]);
     }
 
     /// Records which thread emitted each plan event.

@@ -18,10 +18,10 @@
 //!   sampling, serve hits, group the rest by chain identity so `k`
 //!   same-source queries pay one burn-in;
 //! * [`run_plans_report`] — a fixed worker pool (the calling thread plus
-//!   helpers) with a bounded admission queue,
-//!   a configurable step-budget admission policy (shed plans carry
-//!   typed `Overloaded` errors with retry-after hints), and
-//!   deterministic capped-backoff retry of transient failures;
+//!   helpers) with a bounded admission queue, a configurable
+//!   step-budget admission policy (shed plans carry typed `Overloaded`
+//!   errors with retry-after hints), and deterministic capped-backoff
+//!   retry of transient failures;
 //! * [`CircuitBreaker`] — per-chain breakers that short-circuit
 //!   persistently failing chains into degraded cached answers, with
 //!   half-open probes on a deterministic schedule;
@@ -52,12 +52,12 @@ pub mod plan;
 pub mod route;
 pub mod spec;
 
-pub use breaker::{BreakerConfig, BreakerDecision, CircuitBreaker};
+pub use breaker::{BreakerDecision, CircuitBreaker};
 pub use cache::{half_width, CacheEntry, ServeCache};
 pub use engine::{
     Answer, EngineBuilder, QueryOutcome, ServeConfig, ServeEngine, ServeStats, Served,
 };
-pub use exec::{run_plans_report, ExecReport, ExecutorConfig, PlanStatus, RetryPolicy};
+pub use exec::{run_plans_report, ExecReport, ExecutorConfig, PlanStatus};
 pub use key::{model_fingerprint, ConfigClass, Fnv64, QueryKey};
 pub use plan::{
     mix64, plan_batch, samples_for_tolerance, BatchPlan, EarlyResolution, FlowQuery, Plan,

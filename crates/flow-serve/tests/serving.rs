@@ -14,6 +14,7 @@ use flow_mcmc::{
     SharedTarget,
 };
 use flow_obs::{MemorySink, ScopedRecorder};
+use flow_serve::exec::MAX_QUEUED_PLANS;
 use flow_serve::{
     Answer, ConfigClass, ExecutorConfig, FlowQuery, QueryOutcome, ServeCache, ServeConfig,
     ServeEngine, Served,
@@ -288,34 +289,41 @@ fn step_budget_exhaustion_degrades_instead_of_failing() {
 
 #[test]
 fn queue_overflow_is_explicit_backpressure() {
-    let icm = small_icm();
-    let queries: Vec<FlowQuery> = (0..4)
-        .map(|s| FlowQuery::flow(NodeId(s), NodeId(4)))
+    // A path graph with one source per plan: two plans more than the
+    // submission queue holds.
+    let n = MAX_QUEUED_PLANS as u32 + 3;
+    let edges: Vec<(u32, u32)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+    let icm = Icm::new(graph_from_edges(n as usize, &edges), vec![0.5; edges.len()]);
+    let queries: Vec<FlowQuery> = (0..n - 1)
+        .map(|s| FlowQuery::flow(NodeId(s), NodeId(n - 1)))
         .collect();
     let mut engine = build_engine(ServeConfig {
+        mcmc: McmcConfig {
+            samples: 100,
+            ..Default::default()
+        },
+        default_tolerance: 0.5,
         executor: ExecutorConfig {
             workers: 2,
-            queue_capacity: 2,
             ..Default::default()
         },
         cache_bytes: 0,
         ..config(2)
     });
     let outcomes = engine.execute_batch(&icm, &queries);
-    assert!(matches!(outcomes[0], QueryOutcome::Answered(_)));
-    assert!(matches!(outcomes[1], QueryOutcome::Answered(_)));
-    assert!(matches!(
-        outcomes[2],
-        QueryOutcome::Rejected {
-            error: FlowError::Overloaded { .. }
-        }
-    ));
-    assert!(matches!(
-        outcomes[3],
-        QueryOutcome::Rejected {
-            error: FlowError::Overloaded { .. }
-        }
-    ));
+    let (admitted, overflow) = outcomes.split_at(MAX_QUEUED_PLANS);
+    assert!(admitted
+        .iter()
+        .all(|o| matches!(o, QueryOutcome::Answered(_))));
+    assert_eq!(overflow.len(), 2);
+    for o in overflow {
+        assert!(matches!(
+            o,
+            QueryOutcome::Rejected {
+                error: FlowError::Overloaded { .. }
+            }
+        ));
+    }
     assert_eq!(engine.stats().rejected, 2);
 }
 

@@ -385,7 +385,7 @@ fn torn_cache_write_loses_the_tail_but_never_the_loader() {
 
 #[test]
 fn disarmed_serving_is_byte_identical_with_resilience_on_or_off() {
-    use flow_serve::{BreakerConfig, ExecutorConfig, RetryPolicy};
+    use flow_serve::ExecutorConfig;
     let _guard = armed();
     let icm = diamond_icm();
     let queries = vec![
@@ -407,10 +407,10 @@ fn disarmed_serving_is_byte_identical_with_resilience_on_or_off() {
     let bare = answers(ServeConfig {
         executor: ExecutorConfig {
             admission_step_budget: 0,
-            retry: RetryPolicy::none(),
+            max_attempts: 1,
             ..Default::default()
         },
-        breaker: BreakerConfig::disabled(),
+        breaker_trip_after: 0,
         ..serve_config(16)
     });
     assert_eq!(
