@@ -813,9 +813,10 @@ fn has_domain_arithmetic(stmt: &str) -> bool {
 /// words in comments or doc text do not.
 fn l10_schema_literals(file: &SourceFile, findings: &mut Vec<Finding>) {
     use flow_core::schema as reg;
-    const SCHEMAS: [reg::SchemaId; 8] = [
+    const SCHEMAS: [reg::SchemaId; 9] = [
         reg::SERVE_CACHE,
         reg::STREAM_SNAPSHOT,
+        reg::STREAM_LOG,
         reg::OBS_STATS,
         reg::PERF_BASELINE,
         reg::PERF_RUN,

@@ -7,19 +7,25 @@
 //! * **ingest** — `Ingestor::push_line` over every simulated event
 //!   (parse + validate + buffer), reported as events/sec;
 //! * **seal** — `ModelRegistry::seal_epoch` per epoch: the incremental
-//!   Beta/characteristic-table update plus the checksummed snapshot
-//!   write through `flow_core::persist` (which also prunes the store
-//!   to its two newest epochs);
-//! * **recover** — `SnapshotStore::load_latest` over the store, the
-//!   cold-start path a restarted server pays;
+//!   Beta/characteristic-table update plus what makes the epoch durable
+//!   through `flow_core::persist`, reported apart for the epochs that
+//!   appended a synced log record and those that wrote a synced full
+//!   snapshot (which also prunes the store to its two newest
+//!   snapshots);
+//! * **recover** — `SnapshotStore::load_latest` over the store after
+//!   every epoch, the cold-start path a restarted server pays: the
+//!   newest snapshot plus the log records it replays. The reported
+//!   recovery is the one that replayed the most records, with its
+//!   count;
 //! * **swap** — `ModelRegistry::swap_into` a warm `ServeEngine`,
 //!   counting the stale cache entries reclaimed.
 //!
 //! Acceptance criteria (the binary exits non-zero when violated): the
 //! incrementally learned model must be bit-identical to one batch
-//! apply of the union delta (same serve fingerprint), recovery must
-//! land on the final epoch, the final swap must reclaim the warm
-//! cache, and ingest must sustain at least 20k events/sec.
+//! apply of the union delta (same serve fingerprint), recovery after
+//! every epoch must land on that epoch's exact state, the final swap
+//! must reclaim the warm cache, and ingest must sustain at least 20k
+//! events/sec.
 //!
 //! Wall-clock timing is the entire point of this binary.
 #![allow(clippy::disallowed_methods)]
@@ -108,7 +114,7 @@ fn main() {
     let total_lines: usize = epochs.iter().map(Vec::len).sum();
 
     eprintln!(
-        "[1/4] ingest: {} events across {} cascades, {} epochs ...",
+        "[1/3] ingest: {} events across {} cascades, {} epochs ...",
         total_lines, CASCADES, EPOCHS
     );
     let mut ing = Ingestor::with_graph(graph.clone(), IngestConfig::default());
@@ -133,7 +139,7 @@ fn main() {
     let accepted = ing.stats().accepted;
     let events_per_sec = accepted as f64 / ingest_s;
 
-    eprintln!("[2/4] seal: incremental apply + checksummed snapshot per epoch ...");
+    eprintln!("[2/3] seal: incremental apply + synced record or snapshot, then recover ...");
     let dir = std::env::temp_dir().join(format!("bench-stream-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut registry = ModelRegistry::new(
@@ -158,15 +164,31 @@ fn main() {
     };
     let queries = warm_queries(&graph);
     let mut seal_s = 0.0;
+    // Seal seconds and counts of the epochs that appended a log record
+    // and of those that wrote a snapshot.
+    let (mut append_s, mut appends) = (0.0, 0u32);
+    let (mut snapshot_s, mut snapshots) = (0.0, 0u32);
     let mut swap_s = 0.0;
+    // The recovery that replayed the most records: its time and count.
+    let (mut recover_ms, mut replayed) = (0.0, 0usize);
+    let mut recovered_ok = true;
     let mut invalidated_final = 0usize;
     for (i, delta) in deltas.iter().enumerate() {
         let start = Instant::now();
-        if let Err(e) = registry.seal_epoch(delta) {
-            eprintln!("error: sealing epoch {} failed: {e}", i + 1);
-            std::process::exit(1);
+        let report = match registry.seal_epoch(delta) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("error: sealing epoch {} failed: {e}", i + 1);
+                std::process::exit(1);
+            }
+        };
+        let secs = start.elapsed().as_secs_f64();
+        seal_s += secs;
+        if report.snapshot.is_some() {
+            (snapshot_s, snapshots) = (snapshot_s + secs, snapshots + 1);
+        } else {
+            (append_s, appends) = (append_s + secs, appends + 1);
         }
-        seal_s += start.elapsed().as_secs_f64();
         let start = Instant::now();
         let swap = registry.swap_into(&mut engine);
         swap_s += start.elapsed().as_secs_f64();
@@ -185,25 +207,38 @@ fn main() {
             );
             std::process::exit(1);
         }
+        // A restart right after this seal recovers from the store.
+        let start = Instant::now();
+        let recovered = SnapshotStore::new(dir.clone()).load_latest();
+        let ms = start.elapsed().as_secs_f64() * 1_000.0;
+        let Ok(Some((model, recovered))) = recovered else {
+            eprintln!(
+                "error: recovery after epoch {} failed: {recovered:?}",
+                i + 1
+            );
+            std::process::exit(1);
+        };
+        let live = registry.model();
+        recovered_ok &= model.epoch() == live.epoch()
+            && model.state_fingerprint() == live.state_fingerprint()
+            && model.serve_fingerprint() == live.serve_fingerprint();
+        if recovered.replayed >= replayed {
+            (recover_ms, replayed) = (ms, recovered.replayed);
+        }
     }
     let seal_mean_ms = seal_s * 1_000.0 / EPOCHS as f64;
-    let swap_mean_us = swap_s * 1_000_000.0 / EPOCHS as f64;
-
-    eprintln!("[3/4] recover: load_latest over the snapshot store ...");
-    let store = SnapshotStore::new(dir.clone());
-    let start = Instant::now();
-    let recovered = match store.load_latest() {
-        Ok(Some((_, model))) => model,
-        other => {
-            eprintln!("error: recovery failed: {other:?}");
-            std::process::exit(1);
+    let mean_ms = |secs: f64, n: u32| {
+        if n == 0 {
+            0.0
+        } else {
+            secs * 1_000.0 / f64::from(n)
         }
     };
-    let recover_ms = start.elapsed().as_secs_f64() * 1_000.0;
-    let recovered_ok = recovered.epoch() == EPOCHS as u64
-        && recovered.serve_fingerprint() == registry.model().serve_fingerprint();
+    let (append_mean_ms, snapshot_mean_ms) =
+        (mean_ms(append_s, appends), mean_ms(snapshot_s, snapshots));
+    let swap_mean_us = swap_s * 1_000_000.0 / EPOCHS as f64;
 
-    eprintln!("[4/4] equivalence: incremental vs one batch apply of the union ...");
+    eprintln!("[3/3] equivalence: incremental vs one batch apply of the union ...");
     let mut batch_ing = Ingestor::with_graph(graph.clone(), IngestConfig::default());
     let mut n = 0usize;
     for line in epochs.iter().flatten() {
@@ -227,7 +262,7 @@ fn main() {
         && invalidated_final >= 1
         && events_per_sec >= MIN_EVENTS_PER_SEC;
     let json = format!(
-        "{{\n  \"bench\": \"stream\",\n  \"schema\": \"{schema}\",\n  \"model_edges\": {me},\n  \"cascades\": {ca},\n  \"events\": {ev},\n  \"epochs\": {ep},\n  \"ingest\": {{\n    \"wall_s\": {is:.4},\n    \"events_per_sec\": {eps:.0},\n    \"required_events_per_sec\": {req:.0},\n    \"seal_extract_wall_s\": {sis:.4}\n  }},\n  \"seal\": {{\n    \"wall_s\": {ss:.4},\n    \"mean_ms_per_epoch\": {sm:.3}\n  }},\n  \"recover\": {{\n    \"load_latest_ms\": {rm:.3},\n    \"recovered_final_epoch\": {rok}\n  }},\n  \"swap\": {{\n    \"mean_us\": {su:.1},\n    \"invalidated_at_final\": {inv}\n  }},\n  \"equivalence\": {{\n    \"bit_identical\": {bi}\n  }},\n  \"pass\": {pass}\n}}\n",
+        "{{\n  \"bench\": \"stream\",\n  \"schema\": \"{schema}\",\n  \"model_edges\": {me},\n  \"cascades\": {ca},\n  \"events\": {ev},\n  \"epochs\": {ep},\n  \"ingest\": {{\n    \"wall_s\": {is:.4},\n    \"events_per_sec\": {eps:.0},\n    \"required_events_per_sec\": {req:.0},\n    \"seal_extract_wall_s\": {sis:.4}\n  }},\n  \"seal\": {{\n    \"wall_s\": {ss:.4},\n    \"mean_ms_per_epoch\": {sm:.3},\n    \"append_epochs\": {ap},\n    \"append_mean_ms\": {am:.3},\n    \"snapshot_epochs\": {sn},\n    \"snapshot_mean_ms\": {snm:.3}\n  }},\n  \"recover\": {{\n    \"load_latest_ms\": {rm:.3},\n    \"replayed_records\": {rr},\n    \"recovered_every_epoch\": {rok}\n  }},\n  \"swap\": {{\n    \"mean_us\": {su:.1},\n    \"invalidated_at_final\": {inv}\n  }},\n  \"equivalence\": {{\n    \"bit_identical\": {bi}\n  }},\n  \"pass\": {pass}\n}}\n",
         schema = flow_core::schema::BENCH_STREAM.tag(),
         me = MODEL_EDGES,
         ca = CASCADES,
@@ -239,7 +274,12 @@ fn main() {
         sis = seal_ingest_s,
         ss = seal_s,
         sm = seal_mean_ms,
+        ap = appends,
+        am = append_mean_ms,
+        sn = snapshots,
+        snm = snapshot_mean_ms,
         rm = recover_ms,
+        rr = replayed,
         rok = recovered_ok,
         su = swap_mean_us,
         inv = invalidated_final,
@@ -261,7 +301,7 @@ fn main() {
         std::process::exit(1);
     }
     if !recovered_ok {
-        eprintln!("error: recovery did not land on the final epoch's exact state");
+        eprintln!("error: a recovery did not land on its epoch's exact state");
         std::process::exit(1);
     }
     if invalidated_final == 0 {

@@ -23,14 +23,15 @@
 //! | `twitter.truncate_line`      | flow-twitter | ingest line truncated mid-record     |
 //! | `checkpoint.corrupt`         | flow-mcmc    | checkpoint payload corrupted         |
 //! | `persist.torn_write`         | flow-core    | persisted file torn mid-write        |
+//! | `persist.torn_append`        | flow-core    | log append torn, never synced        |
 //! | `persist.torn_read`          | flow-core    | persisted file's tail lost on read   |
 //! | `serve.worker_stall`         | flow-serve   | serving worker stalls on a plan      |
 //! | `serve.queue_saturate`       | flow-serve   | admission budget saturated per plan  |
 //! | `stream.event_corrupt`       | flow-stream  | ingest event line corrupted mid-read |
 //!
-//! The two `persist.*` points sit in [`crate::persist`], so they drill
-//! every store at once: the serve cache, the stream snapshots and the
-//! experiment checkpoints.
+//! The three `persist.*` points sit in [`crate::persist`], so they
+//! drill every store at once: the serve cache, the stream snapshots and
+//! logs, and the experiment checkpoints (only the stream logs append).
 
 /// What an armed fault point does, and when.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -93,8 +93,14 @@ pub const SERVE_CACHE: SchemaId = SchemaId::new("flowserve-cache", 4);
 
 /// The flow-stream epoch snapshot files (`epoch-*.snap`). v2 moved the
 /// file onto one [`crate::persist`] record and dropped the advisory
-/// `fingerprint=` line.
-pub const STREAM_SNAPSHOT: SchemaId = SchemaId::new("flowstream-snapshot", 2);
+/// `fingerprint=` line; v3 added the ingest mark (`line=`,
+/// `watermark=`) to the `model` line.
+pub const STREAM_SNAPSHOT: SchemaId = SchemaId::new("flowstream-snapshot", 3);
+
+/// The flow-stream epoch logs (`epoch-*.log`): one appended
+/// [`crate::persist`] record per epoch sealed after the snapshot of the
+/// same number.
+pub const STREAM_LOG: SchemaId = SchemaId::new("flowstream-log", 1);
 
 /// flow-exp's resumable experiment checkpoints (`<name>.ckpt`): one
 /// [`crate::persist`] record holding a `FlowCheckpoint`'s text.
@@ -152,12 +158,12 @@ mod tests {
 
     #[test]
     fn expect_header_reports_both_sides() {
-        assert!(expect_header("flowstream-snapshot v2", 1, STREAM_SNAPSHOT).is_ok());
+        assert!(expect_header("flowstream-snapshot v3", 1, STREAM_SNAPSHOT).is_ok());
         let err = expect_header("flowstream-snapshot v9", 1, STREAM_SNAPSHOT).unwrap_err();
         match err {
             FlowError::Parse { line, detail } => {
                 assert_eq!(line, 1);
-                assert!(detail.contains("v9") && detail.contains("flowstream-snapshot v2"));
+                assert!(detail.contains("v9") && detail.contains("flowstream-snapshot v3"));
             }
             other => panic!("expected Parse, got {other:?}"),
         }
@@ -167,7 +173,8 @@ mod tests {
     fn versions_match_their_documented_tags() {
         // The L10 lint exempts only this module; these assertions keep
         // the constant table honest against accidental renames.
-        assert_eq!(STREAM_SNAPSHOT.line_header(), "flowstream-snapshot v2");
+        assert_eq!(STREAM_SNAPSHOT.line_header(), "flowstream-snapshot v3");
+        assert_eq!(STREAM_LOG.line_header(), "flowstream-log v1");
         assert_eq!(EXP_CHECKPOINT.line_header(), "flowexp-checkpoint v1");
         assert_eq!(PERF_BASELINE.tag(), "flow-perf/baseline-v1");
         assert_eq!(PERF_RUN.tag(), "flow-perf/run-v1");

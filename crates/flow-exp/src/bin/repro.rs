@@ -8,6 +8,7 @@
 //!                             [--admission-steps N] [--inject POINT]
 //!                             [--shards K] [--trace PATH] [--stats-out PATH]
 //! repro stream <events.jsonl> [--snap-dir DIR] [--out DIR] [--seed N]
+//!                              [--resume] [--inject POINT]
 //! repro perf diff [--baseline PATH] [--bench PATH]... [--append PATH]
 //!                 [--label NAME]
 //!
@@ -57,15 +58,21 @@
 //!
 //! `stream` replays a JSONL cascade event log through the streaming
 //! pipeline (see `flow-stream`): every `{"seal": true}` marker seals an
-//! epoch — the delta is learned incrementally, the model snapshot is
-//! persisted atomically under `--snap-dir` (default `<out>/snapshots`),
-//! the new version is hot-swapped into a serving engine, and a fixed
-//! graph-derived query set is served, writing
-//! `stream_serve_epoch{N}.jsonl` per epoch plus `stream_stats.json`.
-//! Rejected events (malformed/late/duplicate/inconsistent) are counted,
-//! reported, and dropped without aborting the replay. Exit codes: 0 =
-//! replay completed and the warm-vs-cold swap-equivalence check held,
-//! 1 = infrastructure error, 2 = usage error, 3 = equivalence mismatch.
+//! epoch — the delta is learned incrementally and made durable under
+//! `--snap-dir` (default `<out>/snapshots`) as a synced log record, or
+//! a synced snapshot when one is due, the new version is hot-swapped
+//! into a serving engine, and a fixed graph-derived query set is
+//! served, writing `stream_serve_epoch{N}.jsonl` per epoch plus
+//! `stream_stats.json`. `--resume` continues a killed replay of the
+//! same log: it recovers the newest durable epoch, serves it again and
+//! skips the event-log lines that epoch consumed, so every later answer
+//! file matches an uninterrupted run. `--inject POINT` (fault-inject
+//! builds only) arms a persistence fault point, e.g.
+//! `persist.torn_append`. Rejected events
+//! (malformed/late/duplicate/inconsistent) are counted, reported, and
+//! dropped without aborting the replay. Exit codes: 0 = replay
+//! completed and the warm-vs-cold swap-equivalence check held, 1 =
+//! infrastructure error, 2 = usage error, 3 = equivalence mismatch.
 //!
 //! `perf diff` compares the committed bench result files against
 //! `perf-baseline.json` and exits 3 if any baselined metric regressed
@@ -92,6 +99,7 @@ fn usage() -> ! {
                      [--admission-steps N] [--inject POINT] [--shards K]\n\
                      [--trace PATH] [--stats-out PATH]\n\
          repro stream <events.jsonl> [--snap-dir DIR] [--out DIR] [--seed N]\n\
+                      [--resume] [--inject POINT]\n\
          repro perf diff [--baseline PATH] [--bench PATH]... [--append PATH] [--label NAME]",
         EXPERIMENTS.join("|")
     );
@@ -246,6 +254,11 @@ fn run_stream_command(args: &[String]) -> ! {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
+            "--resume" => stream_args.resume = true,
+            "--inject" => {
+                i += 1;
+                stream_args.inject = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
+            }
             positional if stream_args.events.is_empty() && !positional.starts_with('-') => {
                 stream_args.events = positional.to_string();
             }
@@ -374,7 +387,7 @@ fn main() {
     // Progress reporting only; results depend solely on the seed.
     #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
-    run(&command, &cfg, &out, resume);
+    let ran = run(&command, &cfg, &out, resume);
     // Flush telemetry before the done line so operator output reads in
     // order: trace file first, then metrics, then the runtime summary.
     flow_obs::set_global(None);
@@ -387,6 +400,10 @@ fn main() {
     if let Some(stats) = &stats {
         eprintln!("{}", stats.snapshot().render_text());
     }
+    if let Err(e) = ran {
+        eprintln!("error: {command} failed: {e}");
+        std::process::exit(1);
+    }
     println!(
         "\ndone ({}) in {:.1}s  [seed {}, scale {}]",
         command,
@@ -396,52 +413,54 @@ fn main() {
     );
 }
 
-fn run(command: &str, cfg: &ExpConfig, out: &Output, resume: bool) {
+/// Runs one experiment subcommand. An error is a result file that could
+/// not be written.
+fn run(command: &str, cfg: &ExpConfig, out: &Output, resume: bool) -> std::io::Result<()> {
     match command {
         "fig1" => {
-            runners::fig01_synthetic_bucket::run_fig1(cfg, out);
+            runners::fig01_synthetic_bucket::run_fig1(cfg, out)?;
         }
         "fig2" => {
-            runners::fig02_attributed::run_fig2(cfg, out);
+            runners::fig02_attributed::run_fig2(cfg, out)?;
         }
         "fig3" => {
-            runners::fig03_uncertainty::run_fig3(cfg, out);
+            runners::fig03_uncertainty::run_fig3(cfg, out)?;
         }
         "fig4" => {
-            runners::fig04_impact::run_fig4(cfg, out);
+            runners::fig04_impact::run_fig4(cfg, out)?;
         }
         "fig5" => {
-            runners::fig01_synthetic_bucket::run_fig5(cfg, out);
+            runners::fig01_synthetic_bucket::run_fig5(cfg, out)?;
         }
         "fig6" => {
-            runners::fig06_timing::run_fig6(cfg, out);
+            runners::fig06_timing::run_fig6(cfg, out)?;
         }
         "fig7" => {
-            runners::fig07_rmse::run_fig7(cfg, out);
+            runners::fig07_rmse::run_fig7(cfg, out)?;
         }
         "fig8" => {
-            runners::fig08_tags::run_fig8(cfg, out);
+            runners::fig08_tags::run_fig8(cfg, out)?;
         }
         "fig9" => {
-            runners::fig08_tags::run_fig9(cfg, out);
+            runners::fig08_tags::run_fig9(cfg, out)?;
         }
         "fig10" => {
-            runners::fig08_tags::run_fig10(cfg, out);
+            runners::fig08_tags::run_fig10(cfg, out)?;
         }
         "fig11" => {
-            runners::fig11_multimodal::run_fig11(cfg, out);
+            runners::fig11_multimodal::run_fig11(cfg, out)?;
         }
         "table1" => {
             runners::table1::run_table1(cfg, out);
         }
         "ablation" => {
-            runners::ablation::run_ablation(cfg, out);
+            runners::ablation::run_ablation(cfg, out)?;
         }
         "appendix" => {
-            runners::appendix::run_appendix(cfg, out);
+            runners::appendix::run_appendix(cfg, out)?;
         }
         "table3" => {
-            runners::table3::run_table3(cfg, out);
+            runners::table3::run_table3(cfg, out)?;
         }
         "flow" => {
             // Checkpoints live next to the CSVs; without an output
@@ -468,29 +487,30 @@ fn run(command: &str, cfg: &ExpConfig, out: &Output, resume: bool) {
         "all" => {
             // Table III re-runs Figs. 1, 2, 5 and 8 and tabulates their
             // pairs, so run it first and then the remaining figures.
-            let mut rows = runners::table3::run_table3(cfg, out);
-            runners::fig03_uncertainty::run_fig3(cfg, out);
-            runners::fig04_impact::run_fig4(cfg, out);
-            runners::fig06_timing::run_fig6(cfg, out);
-            runners::fig07_rmse::run_fig7(cfg, out);
-            for r in runners::fig08_tags::run_fig9(cfg, out) {
+            let mut rows = runners::table3::run_table3(cfg, out)?;
+            runners::fig03_uncertainty::run_fig3(cfg, out)?;
+            runners::fig04_impact::run_fig4(cfg, out)?;
+            runners::fig06_timing::run_fig6(cfg, out)?;
+            runners::fig07_rmse::run_fig7(cfg, out)?;
+            for r in runners::fig08_tags::run_fig9(cfg, out)? {
                 rows.push(runners::table3::metrics_row(
                     &format!("{} - Fig. 9", r.label),
                     &r.pairs,
                 ));
             }
-            let fig10 = runners::fig08_tags::run_fig10(cfg, out);
+            let fig10 = runners::fig08_tags::run_fig10(cfg, out)?;
             rows.push(runners::table3::metrics_row(
                 "fig10_gaussian - Fig. 10",
                 &fig10.pairs,
             ));
-            runners::fig11_multimodal::run_fig11(cfg, out);
+            runners::fig11_multimodal::run_fig11(cfg, out)?;
             runners::table1::run_table1(cfg, out);
-            runners::ablation::run_ablation(cfg, out);
-            runners::appendix::run_appendix(cfg, out);
+            runners::ablation::run_ablation(cfg, out)?;
+            runners::appendix::run_appendix(cfg, out)?;
             out.heading("Table III (extended, all bucket experiments)");
-            runners::table3::render(&rows, out);
+            runners::table3::render(&rows, out)?;
         }
         _ => usage(),
     }
+    Ok(())
 }

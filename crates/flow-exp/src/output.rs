@@ -90,9 +90,9 @@ impl Output {
         }
     }
 
-    /// Prints a bucket report as a table (and optionally CSV), including
-    /// the headline calibration fraction.
-    pub fn bucket_report(&self, name: &str, report: &BucketReport) {
+    /// Prints a bucket report as a table, including the headline
+    /// calibration fraction, and writes its bins to `<dir>/<name>.csv`.
+    pub fn bucket_report(&self, name: &str, report: &BucketReport) -> std::io::Result<()> {
         self.line(format!(
             "{name}: {} pairs, {:.1}% of populated bins within the {:.0}% CI, calibration RMSE {:.4}",
             report.total,
@@ -143,7 +143,7 @@ impl Output {
                 ]
             })
             .collect();
-        let _ = self.csv(
+        self.csv(
             name,
             &[
                 "lo",
@@ -157,7 +157,7 @@ impl Output {
                 "mean_inside_ci",
             ],
             &csv_rows,
-        );
+        )
     }
 }
 
@@ -196,6 +196,8 @@ mod tests {
         ];
         let report =
             crate::bucket::BucketReport::build(&pairs, crate::bucket::BucketConfig::default());
-        Output::stdout_only().bucket_report("demo", &report);
+        Output::stdout_only()
+            .bucket_report("demo", &report)
+            .unwrap();
     }
 }

@@ -31,7 +31,7 @@ pub struct AblationPoint {
 }
 
 /// Runs the proposal/thinning ablation and the multi-chain check.
-pub fn run_ablation(cfg: &ExpConfig, out: &Output) -> Vec<AblationPoint> {
+pub fn run_ablation(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<AblationPoint>> {
     out.heading("Ablation — proposal kind × thinning, scored by ESS/second");
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xAB1A_0000);
     let model = synthetic_beta_icm(&mut rng, &SyntheticBetaIcmConfig::paper_defaults(50, 200));
@@ -88,11 +88,11 @@ pub fn run_ablation(cfg: &ExpConfig, out: &Output) -> Vec<AblationPoint> {
         })
         .collect();
     out.table(&["proposal", "thin", "accept", "ESS", "ESS/s"], &rows);
-    let _ = out.csv(
+    out.csv(
         "ablation_sampler",
         &["proposal", "thin", "acceptance", "ess", "ess_per_second"],
         &rows,
-    );
+    )?;
     out.line(
         "Reading: thinning trades chain updates for per-sample independence; the \
          sweet spot sits near thin ≈ m/2. Both proposal conventions converge — \
@@ -122,7 +122,7 @@ pub fn run_ablation(cfg: &ExpConfig, out: &Output) -> Vec<AblationPoint> {
             .unwrap_or_else(|| "-".into()),
         est.effective_samples(),
     ));
-    points
+    Ok(points)
 }
 
 #[cfg(test)]
@@ -136,7 +136,7 @@ mod tests {
             seed: 19,
         };
         let out = Output::stdout_only();
-        let points = run_ablation(&cfg, &out);
+        let points = run_ablation(&cfg, &out).unwrap();
         assert_eq!(points.len(), 8);
         for p in &points {
             assert!(p.acceptance > 0.0 && p.acceptance <= 1.0);

@@ -87,7 +87,7 @@ fn point(regime: &'static str, truths: &[f64], episodes: &[Episode]) -> Appendix
 }
 
 /// Runs the appendix comparison.
-pub fn run_appendix(cfg: &ExpConfig, out: &Output) -> Vec<AppendixPoint> {
+pub fn run_appendix(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<AppendixPoint>> {
     out.heading("Appendix — relaxed vs discrete-time attribution window (EM)");
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA99E_0000);
     let truths = [0.7, 0.4, 0.2];
@@ -125,7 +125,7 @@ pub fn run_appendix(cfg: &ExpConfig, out: &Output) -> Vec<AppendixPoint> {
         ],
         &rows,
     );
-    let _ = out.csv(
+    out.csv(
         "appendix_timing",
         &[
             "regime",
@@ -134,13 +134,13 @@ pub fn run_appendix(cfg: &ExpConfig, out: &Output) -> Vec<AppendixPoint> {
             "original_spontaneous",
         ],
         &rows,
-    );
+    )?;
     out.line(
         "With delayed propagation the discrete-time window cannot attribute late \
          activations (it discards them as spontaneous) and its estimates collapse; \
          the relaxed window is unaffected — the paper's argument for the modification.",
     );
-    points
+    Ok(points)
 }
 
 #[cfg(test)]
@@ -154,7 +154,7 @@ mod tests {
             seed: 21,
         };
         let out = Output::stdout_only();
-        let points = run_appendix(&cfg, &out);
+        let points = run_appendix(&cfg, &out).unwrap();
         let immediate = &points[0];
         let delayed = &points[1];
         // Where the discrete-time assumption holds, both windows agree.

@@ -74,7 +74,7 @@ pub fn fig1_mcmc_config() -> McmcConfig {
 }
 
 /// Runs Fig. 1.
-pub fn run_fig1(cfg: &ExpConfig, out: &Output) -> SyntheticBucketResult {
+pub fn run_fig1(cfg: &ExpConfig, out: &Output) -> std::io::Result<SyntheticBucketResult> {
     let reps = cfg.scaled(2_000, 100);
     out.heading(&format!(
         "Fig. 1 — MH bucket experiment, {reps} synthetic betaICMs (50 nodes, 200 edges)"
@@ -85,12 +85,12 @@ pub fn run_fig1(cfg: &ExpConfig, out: &Output) -> SyntheticBucketResult {
         FlowEstimator::new(&icm, mcmc).estimate_flow(u, v, rng)
     });
     let report = BucketReport::build(&pairs, BucketConfig::default());
-    out.bucket_report("fig1_bucket", &report);
-    SyntheticBucketResult { report, pairs }
+    out.bucket_report("fig1_bucket", &report)?;
+    Ok(SyntheticBucketResult { report, pairs })
 }
 
 /// Runs Fig. 5 (identical setup, RWR estimator).
-pub fn run_fig5(cfg: &ExpConfig, out: &Output) -> SyntheticBucketResult {
+pub fn run_fig5(cfg: &ExpConfig, out: &Output) -> std::io::Result<SyntheticBucketResult> {
     let reps = cfg.scaled(2_000, 100);
     out.heading(&format!(
         "Fig. 5 — RWR bucket experiment, {reps} synthetic betaICMs"
@@ -102,12 +102,12 @@ pub fn run_fig5(cfg: &ExpConfig, out: &Output) -> SyntheticBucketResult {
         })
     });
     let report = BucketReport::build(&pairs, BucketConfig::default());
-    out.bucket_report("fig5_rwr_bucket", &report);
+    out.bucket_report("fig5_rwr_bucket", &report)?;
     out.line(
         "RWR is a similarity, not a probability: estimates crowd near zero and \
          miss the empirical rates (compare fraction-within-CI against Fig. 1).",
     );
-    SyntheticBucketResult { report, pairs }
+    Ok(SyntheticBucketResult { report, pairs })
 }
 
 #[cfg(test)]
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn fig1_is_calibrated_even_at_small_scale() {
         let out = Output::stdout_only();
-        let r = run_fig1(&tiny(), &out); // floor = 100 reps
+        let r = run_fig1(&tiny(), &out).unwrap(); // floor = 100 reps
         assert_eq!(r.pairs.len(), 100);
         // At 100 pairs the CI test is loose but the calibration RMSE
         // should already be small.
@@ -139,8 +139,8 @@ mod tests {
     #[test]
     fn fig5_rwr_is_visibly_miscalibrated_low() {
         let out = Output::stdout_only();
-        let mh = run_fig1(&tiny(), &out);
-        let rwr = run_fig5(&tiny(), &out);
+        let mh = run_fig1(&tiny(), &out).unwrap();
+        let rwr = run_fig5(&tiny(), &out).unwrap();
         // RWR estimates are crushed toward 0 relative to MH.
         let mean_est = |pairs: &[PredictionOutcome]| {
             pairs.iter().map(|p| p.prediction).sum::<f64>() / pairs.len() as f64

@@ -176,7 +176,7 @@ pub fn attributed_pairs(
 }
 
 /// Runs the four panels of Fig. 2.
-pub fn run_fig2(cfg: &ExpConfig, out: &Output) -> Vec<AttributedBucketResult> {
+pub fn run_fig2(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<AttributedBucketResult>> {
     out.heading("Fig. 2 — bucket experiments on attributed (retweet) evidence");
     let ctx = build_context(cfg);
     out.line(format!(
@@ -194,14 +194,14 @@ pub fn run_fig2(cfg: &ExpConfig, out: &Output) -> Vec<AttributedBucketResult> {
         };
         let pairs = attributed_pairs(cfg, &ctx, radius, known);
         let report = BucketReport::build(&pairs, BucketConfig::default());
-        out.bucket_report(&label, &report);
+        out.bucket_report(&label, &report)?;
         results.push(AttributedBucketResult {
             label,
             report,
             pairs,
         });
     }
-    results
+    Ok(results)
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ fn select_cases(ctx: &AttributedContext, want: usize) -> Vec<(NodeId, NodeId, u6
 }
 
 /// Runs Fig. 3.
-pub fn run_fig3(cfg: &ExpConfig, out: &Output) -> Vec<UncertaintyCase> {
+pub fn run_fig3(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<UncertaintyCase>> {
     out.heading("Fig. 3 — uncertainty capture: nested MH vs empirical Beta");
     let ctx = build_context(cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF163_0000);
@@ -126,7 +126,7 @@ pub fn run_fig3(cfg: &ExpConfig, out: &Output) -> Vec<UncertaintyCase> {
                 f.beta()
             ));
         }
-        let _ = out.csv(
+        out.csv(
             &format!("fig3_{source}_{sink}"),
             &["sample"],
             &dist
@@ -134,7 +134,7 @@ pub fn run_fig3(cfg: &ExpConfig, out: &Output) -> Vec<UncertaintyCase> {
                 .iter()
                 .map(|s| vec![format!("{s}")])
                 .collect::<Vec<_>>(),
-        );
+        )?;
         results.push(UncertaintyCase {
             source,
             sink,
@@ -146,7 +146,7 @@ pub fn run_fig3(cfg: &ExpConfig, out: &Output) -> Vec<UncertaintyCase> {
     if results.is_empty() {
         out.line("(no source/sink pair had enough evidence at this scale)");
     }
-    results
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -160,7 +160,7 @@ mod tests {
             seed: 5,
         };
         let out = Output::stdout_only();
-        let cases = run_fig3(&cfg, &out);
+        let cases = run_fig3(&cfg, &out).unwrap();
         assert!(!cases.is_empty(), "fixture scale should yield cases");
         for c in &cases {
             assert!(!c.samples.is_empty());

@@ -48,7 +48,7 @@ impl ImpactResult {
 }
 
 /// Runs Fig. 4.
-pub fn run_fig4(cfg: &ExpConfig, out: &Output) -> ImpactResult {
+pub fn run_fig4(cfg: &ExpConfig, out: &Output) -> std::io::Result<ImpactResult> {
     out.heading("Fig. 4 — predicted vs actual retweet impact");
     let ctx = build_context(cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF164_0000);
@@ -100,7 +100,7 @@ pub fn run_fig4(cfg: &ExpConfig, out: &Output) -> ImpactResult {
         40,
         "  actual retweets per tweet:",
     ));
-    let _ = out.csv(
+    out.csv(
         "fig4_impact",
         &["kind", "impact"],
         &result
@@ -114,8 +114,8 @@ pub fn run_fig4(cfg: &ExpConfig, out: &Output) -> ImpactResult {
                     .map(|&i| vec!["actual".to_string(), i.to_string()]),
             )
             .collect::<Vec<_>>(),
-    );
-    result
+    )?;
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -129,7 +129,7 @@ mod tests {
             seed: 6,
         };
         let out = Output::stdout_only();
-        let r = run_fig4(&cfg, &out);
+        let r = run_fig4(&cfg, &out).unwrap();
         assert!(!r.predicted.is_empty() && !r.actual.is_empty());
         // The paper's qualitative claim: similar ranges; the means stay
         // within a factor-3 band of each other (the model tends to

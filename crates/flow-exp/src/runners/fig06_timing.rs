@@ -150,7 +150,7 @@ fn measure(parents_n: usize, objects: usize, seed: u64) -> TimingPoint {
 }
 
 /// Runs Fig. 6.
-pub fn run_fig6(cfg: &ExpConfig, out: &Output) -> Vec<TimingPoint> {
+pub fn run_fig6(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<TimingPoint>> {
     out.heading("Fig. 6 — per-sample cost: joint Bayes vs Goyal");
     let mut points = Vec::new();
     let object_grid = [300usize, 1_000, 3_000, 10_000, 30_000];
@@ -190,7 +190,7 @@ pub fn run_fig6(cfg: &ExpConfig, out: &Output) -> Vec<TimingPoint> {
         ],
         &rows,
     );
-    let _ = out.csv(
+    out.csv(
         "fig6_timing",
         &[
             "parents",
@@ -202,12 +202,12 @@ pub fn run_fig6(cfg: &ExpConfig, out: &Output) -> Vec<TimingPoint> {
             "ours_amortized_s",
         ],
         &rows,
-    );
+    )?;
     out.line(
         "Summarization makes ω (rows) tiny relative to m, so the amortized \
          per-sample cost stays flat as objects grow while Goyal's pass scales with m.",
     );
-    points
+    Ok(points)
 }
 
 #[cfg(test)]

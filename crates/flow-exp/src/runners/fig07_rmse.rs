@@ -127,7 +127,7 @@ pub fn rmse_point(
 }
 
 /// Runs Fig. 7 (all four subplots).
-pub fn run_fig7(cfg: &ExpConfig, out: &Output) -> Vec<RmsePoint> {
+pub fn run_fig7(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<RmsePoint>> {
     out.heading("Fig. 7 — RMSE of learned edge probabilities vs ground truth");
     let reps = cfg.scaled(10, 3);
     let mut all = Vec::new();
@@ -165,7 +165,7 @@ pub fn run_fig7(cfg: &ExpConfig, out: &Output) -> Vec<RmsePoint> {
             ],
             &rows,
         );
-        let _ = out.csv(
+        out.csv(
             &format!("fig7_{label}"),
             &[
                 "objects", "ours", "band_lo", "band_hi", "goyal", "filtered", "saito",
@@ -184,9 +184,9 @@ pub fn run_fig7(cfg: &ExpConfig, out: &Output) -> Vec<RmsePoint> {
                     ]
                 })
                 .collect::<Vec<_>>(),
-        );
+        )?;
     }
-    all
+    Ok(all)
 }
 
 #[cfg(test)]

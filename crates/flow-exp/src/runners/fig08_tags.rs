@@ -247,7 +247,12 @@ pub fn tag_pairs(
     pairs
 }
 
-fn run_panels(cfg: &ExpConfig, out: &Output, kind: ObjectKind, fig: &str) -> Vec<TagFlowResult> {
+fn run_panels(
+    cfg: &ExpConfig,
+    out: &Output,
+    kind: ObjectKind,
+    fig: &str,
+) -> std::io::Result<Vec<TagFlowResult>> {
     let ctx = build_tag_context(cfg, kind);
     out.line(format!(
         "{} objects: {}; focus users: {:?}",
@@ -274,7 +279,7 @@ fn run_panels(cfg: &ExpConfig, out: &Output, kind: ObjectKind, fig: &str) -> Vec
                 0xF168_1000 + radius as u64 * 31 + lname.len() as u64,
             );
             let report = BucketReport::build(&pairs, BucketConfig::default());
-            out.bucket_report(&label, &report);
+            out.bucket_report(&label, &report)?;
             results.push(TagFlowResult {
                 label,
                 report,
@@ -282,29 +287,29 @@ fn run_panels(cfg: &ExpConfig, out: &Output, kind: ObjectKind, fig: &str) -> Vec
             });
         }
     }
-    results
+    Ok(results)
 }
 
 /// Runs Fig. 8 (URLs).
-pub fn run_fig8(cfg: &ExpConfig, out: &Output) -> Vec<TagFlowResult> {
+pub fn run_fig8(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<TagFlowResult>> {
     out.heading("Fig. 8 — URL flow bucket experiments (radius 4/5, ours vs Goyal)");
     run_panels(cfg, out, ObjectKind::Url, "fig8")
 }
 
 /// Runs Fig. 9 (hashtags — expect visibly worse calibration).
-pub fn run_fig9(cfg: &ExpConfig, out: &Output) -> Vec<TagFlowResult> {
+pub fn run_fig9(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<TagFlowResult>> {
     out.heading("Fig. 9 — hashtag flow bucket experiments (exogenous adoption)");
-    let results = run_panels(cfg, out, ObjectKind::Hashtag, "fig9");
+    let results = run_panels(cfg, out, ObjectKind::Hashtag, "fig9")?;
     out.line(
         "Hashtags enter Twitter from the outside world (coordinated events, common \
          acronyms), so edge-local cascade models misprice their flows — compare the \
          fraction-within-CI against Fig. 8.",
     );
-    results
+    Ok(results)
 }
 
 /// Runs Fig. 10 (URL, radius 4, ours, 30 Gaussian-sampled repetitions).
-pub fn run_fig10(cfg: &ExpConfig, out: &Output) -> TagFlowResult {
+pub fn run_fig10(cfg: &ExpConfig, out: &Output) -> std::io::Result<TagFlowResult> {
     out.heading("Fig. 10 — bucket experiment with Gaussian edge-uncertainty sampling (30 reps)");
     let ctx = build_tag_context(cfg, ObjectKind::Url);
     let reps = cfg.scaled(30, 10);
@@ -317,16 +322,16 @@ pub fn run_fig10(cfg: &ExpConfig, out: &Output) -> TagFlowResult {
         0xF168_2000,
     );
     let report = BucketReport::build(&pairs, BucketConfig::default());
-    out.bucket_report("fig10_gaussian", &report);
+    out.bucket_report("fig10_gaussian", &report)?;
     out.line(
         "Sampling edges from their posterior Gaussians smooths the flow estimates \
          (fewer extreme predictions; fewer points per bucket).",
     );
-    TagFlowResult {
+    Ok(TagFlowResult {
         label: "fig10_gaussian".to_string(),
         report,
         pairs,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ pub struct MultimodalResult {
 }
 
 /// Runs Fig. 11.
-pub fn run_fig11(cfg: &ExpConfig, out: &Output) -> MultimodalResult {
+pub fn run_fig11(cfg: &ExpConfig, out: &Output) -> std::io::Result<MultimodalResult> {
     out.heading("Fig. 11 — Saito EM restarts vs joint-Bayes MCMC on Table II");
     let summary = table_two();
     let restarts = cfg.scaled(1_000, 200);
@@ -93,11 +93,11 @@ pub fn run_fig11(cfg: &ExpConfig, out: &Output) -> MultimodalResult {
             ]
         }))
         .collect();
-    let _ = out.csv("fig11_multimodal", &["method", "a", "b", "c"], &rows);
-    MultimodalResult {
+    out.csv("fig11_multimodal", &["method", "a", "b", "c"], &rows)?;
+    Ok(MultimodalResult {
         em_solutions,
         bayes_samples,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -111,7 +111,7 @@ mod tests {
             seed: 17,
         };
         let out = Output::stdout_only();
-        let r = run_fig11(&cfg, &out);
+        let r = run_fig11(&cfg, &out).unwrap();
         assert_eq!(r.em_solutions.len(), 200);
         assert_eq!(r.bayes_samples.len(), 1_000);
         let spread = |data: &[[f64; 3]], j: usize| {

@@ -177,13 +177,14 @@ fn served_label(outcome: &QueryOutcome) -> &'static str {
 }
 
 /// Arms one named serving-path or persistence fault point for a chaos
-/// run (in `repro serve` the persistence points tear the cache file).
-/// The specs are chosen so a resilient engine finishes the batch with
+/// run (in `repro serve` the persistence points tear the cache file; in
+/// `repro stream` they tear a snapshot or the first log append). The
+/// specs are chosen so a resilient engine finishes the batch with
 /// structured ok/degraded results: the worker stall fires twice
 /// (recovered by the default three-attempt retry); the other points
 /// stay armed for the whole run (quarantine and shedding absorb them).
 #[cfg(feature = "fault-inject")]
-fn arm_injection(point: &str) -> FlowResult<()> {
+pub(crate) fn arm_injection(point: &str) -> FlowResult<()> {
     use flow_core::fault::{self, FaultSpec};
     let (name, spec): (&'static str, FaultSpec) = match point {
         "serve.worker_stall" => (
@@ -197,10 +198,11 @@ fn arm_injection(point: &str) -> FlowResult<()> {
         "serve.queue_saturate" => ("serve.queue_saturate", FaultSpec::always(0.0)),
         "persist.torn_read" => ("persist.torn_read", FaultSpec::always(0.0)),
         "persist.torn_write" => ("persist.torn_write", FaultSpec::always(0.0)),
+        "persist.torn_append" => ("persist.torn_append", FaultSpec::always(0.0)),
         other => {
             return Err(FlowError::Parse {
                 line: 0,
-                detail: format!("unknown serving fault point `{other}`"),
+                detail: format!("unknown fault point `{other}`"),
             });
         }
     };
@@ -209,7 +211,7 @@ fn arm_injection(point: &str) -> FlowResult<()> {
 }
 
 #[cfg(not(feature = "fault-inject"))]
-fn arm_injection(point: &str) -> FlowResult<()> {
+pub(crate) fn arm_injection(point: &str) -> FlowResult<()> {
     Err(FlowError::Parse {
         line: 0,
         detail: format!(

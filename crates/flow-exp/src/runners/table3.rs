@@ -50,7 +50,7 @@ pub fn metrics_row(name: &str, pairs: &[PredictionOutcome]) -> MetricsRow {
 }
 
 /// Renders rows as the Table III layout.
-pub fn render(rows: &[MetricsRow], out: &Output) {
+pub fn render(rows: &[MetricsRow], out: &Output) -> std::io::Result<()> {
     let fmt = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_else(|| "-".into());
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -82,7 +82,7 @@ pub fn render(rows: &[MetricsRow], out: &Output) {
         ],
         &table_rows,
     );
-    let _ = out.csv(
+    out.csv(
         "table3_metrics",
         &[
             "experiment",
@@ -111,27 +111,27 @@ pub fn render(rows: &[MetricsRow], out: &Output) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )
 }
 
 /// Runs Table III from scratch: regenerates the pair sets of Figs. 1,
 /// 2, 5 and 8 and tabulates the accuracy measures.
-pub fn run_table3(cfg: &ExpConfig, out: &Output) -> Vec<MetricsRow> {
+pub fn run_table3(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<MetricsRow>> {
     out.heading("Table III — accuracy measures over the bucket experiments");
     let mut rows = Vec::new();
-    let fig1 = crate::runners::fig01_synthetic_bucket::run_fig1(cfg, out);
+    let fig1 = crate::runners::fig01_synthetic_bucket::run_fig1(cfg, out)?;
     rows.push(metrics_row("MH Test - Fig. 1", &fig1.pairs));
-    let fig5 = crate::runners::fig01_synthetic_bucket::run_fig5(cfg, out);
+    let fig5 = crate::runners::fig01_synthetic_bucket::run_fig5(cfg, out)?;
     rows.push(metrics_row("RWR - Fig. 5", &fig5.pairs));
-    for r in crate::runners::fig02_attributed::run_fig2(cfg, out) {
+    for r in crate::runners::fig02_attributed::run_fig2(cfg, out)? {
         rows.push(metrics_row(&format!("{} - Fig. 2", r.label), &r.pairs));
     }
-    for r in crate::runners::fig08_tags::run_fig8(cfg, out) {
+    for r in crate::runners::fig08_tags::run_fig8(cfg, out)? {
         rows.push(metrics_row(&format!("{} - Fig. 8", r.label), &r.pairs));
     }
     out.heading("Table III (summary)");
-    render(&rows, out);
-    rows
+    render(&rows, out)?;
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -160,6 +160,6 @@ mod tests {
         let row = metrics_row("empty", &[]);
         assert!(row.nl_all.is_none());
         assert!(row.brier_ci.is_none());
-        render(&[row], &Output::stdout_only());
+        render(&[row], &Output::stdout_only()).unwrap();
     }
 }

@@ -90,3 +90,84 @@ fn runs_are_seed_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn a_result_file_that_cannot_be_written_fails_the_run() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-unwritable-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    // A regular file where the output directory's parent should be.
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "").unwrap();
+    let target = file.join("sub");
+    let out = repro()
+        .args(["fig11", "--scale", "0", "--seed", "3", "--out"])
+        .arg(&target)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(target.to_str().unwrap()), "stderr: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `repro stream --out <dir> --seed 5 <log>` plus `extra` flags.
+fn stream(log: &std::path::Path, dir: &std::path::Path, extra: &[&str]) -> std::process::Output {
+    repro()
+        .arg("stream")
+        .arg(log)
+        .arg("--out")
+        .arg(dir)
+        .args(["--seed", "5"])
+        .args(extra)
+        .output()
+        .expect("spawn")
+}
+
+#[test]
+fn stream_resume_continues_an_interrupted_replay() {
+    let root = std::env::temp_dir().join(format!("repro-cli-resume-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).unwrap();
+    let log =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/stream_events.jsonl");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let full = root.join("full");
+    assert!(stream(&log, &full, &[]).status.success());
+    // Stop after epoch 2's seal: the log up to its seal marker.
+    let lines: Vec<&str> = text.lines().collect();
+    let second = (0..lines.len())
+        .filter(|&i| lines[i].starts_with(r#"{"seal""#))
+        .nth(1)
+        .unwrap();
+    let part = root.join("part.jsonl");
+    std::fs::write(&part, lines[..=second].join("\n") + "\n").unwrap();
+    let resumed = root.join("resumed");
+    assert!(stream(&part, &resumed, &[]).status.success());
+    let out = stream(&log, &resumed, &["--resume"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("resumed at epoch 2"), "{stdout}");
+    for epoch in 2..=4 {
+        let name = format!("stream_serve_epoch{epoch}.jsonl");
+        assert_eq!(
+            std::fs::read(full.join(&name)).unwrap(),
+            std::fs::read(resumed.join(&name)).unwrap(),
+            "{name}"
+        );
+    }
+    // Without a snapshot directory there is nothing to resume from.
+    let out = repro()
+        .arg("stream")
+        .arg(&log)
+        .args(["--no-csv", "--resume"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--resume needs"));
+    std::fs::remove_dir_all(&root).ok();
+}

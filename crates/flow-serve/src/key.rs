@@ -5,10 +5,10 @@
 //! *canonical* coordinates only:
 //!
 //! * the flow source and target (community members sorted + deduped);
-//! * the condition set normalized by
-//!   [`flow_icm::query::normalize_conditions`] (sorted, deduped,
-//!   contradiction-free), so permuted or duplicated condition lists
-//!   collide;
+//! * the condition set normalized against the model's graph by
+//!   [`flow_icm::query::normalize_conditions`] (sorted, deduped, free of
+//!   conditions that always hold, contradiction-free), so permuted or
+//!   duplicated condition lists collide;
 //! * the *resolved* chain configuration ([`ConfigClass`]): burn-in,
 //!   thinning, and proposal convention after edge-count defaults are
 //!   applied — two configs that resolve identically are the same class
@@ -108,7 +108,8 @@ pub struct QueryKey {
     pub source: NodeId,
     /// Flow target (sink or sorted community).
     pub target: SharedTarget,
-    /// Normalized (sorted, deduped, contradiction-free) conditions.
+    /// Normalized (sorted, deduped, contradiction-free) conditions, each
+    /// with a directed path between its endpoints.
     pub conditions: Vec<FlowCondition>,
     /// Resolved chain configuration class.
     pub config: ConfigClass,
@@ -123,17 +124,19 @@ pub struct QueryKey {
 }
 
 impl QueryKey {
-    /// Canonicalizes a raw query. Fails with the offending `(u, v)` pair
-    /// mapped to [`FlowError::GraphInconsistency`] when the condition
-    /// set is directly contradictory (a flow both required and
-    /// forbidden, or a forbidden self-flow `u ~> u`) — the planner
-    /// surfaces this as a typed per-query failure *before* any sampling
-    /// happens.
+    /// Canonicalizes a raw query. Fails with the condition set's
+    /// [`flow_icm::query::Contradiction`] mapped to
+    /// [`FlowError::GraphInconsistency`] when it can never hold (a flow
+    /// both required and forbidden, a forbidden self-flow `u ~> u`, or a
+    /// required flow no directed path of `icm`'s graph connects) — the
+    /// planner surfaces this as a typed per-query failure *before* any
+    /// sampling happens.
     ///
     /// A query without conditions resolves to [`ConfigClass::EXACT`]
     /// whatever `config` says; a conditioned one to `config`'s class.
-    /// Required self-flows always hold and normalize away, so a query
-    /// whose only conditions are such flows is an unconditioned one.
+    /// Required self-flows and forbidden flows with no path always hold
+    /// and normalize away, so a query whose only conditions are such
+    /// flows is an unconditioned one.
     pub fn canonical(
         source: NodeId,
         target: &SharedTarget,
@@ -141,14 +144,7 @@ impl QueryKey {
         config: &McmcConfig,
         icm: &Icm,
     ) -> FlowResult<Self> {
-        let conditions =
-            normalize_conditions(conditions).map_err(|(u, v)| FlowError::GraphInconsistency {
-                detail: if u == v {
-                    format!("contradictory flow condition: {u}~>{v} forbidden, but a node always reaches itself")
-                } else {
-                    format!("contradictory flow conditions: {u}~>{v} both required and forbidden")
-                },
-            })?;
+        let conditions = normalize_conditions(icm.graph(), conditions).map_err(FlowError::from)?;
         let target = match target {
             SharedTarget::Sink(s) => SharedTarget::Sink(*s),
             SharedTarget::Community(members) => {
@@ -385,9 +381,12 @@ mod tests {
             FlowCondition::forbids(NodeId(1), NodeId(2)),
         ];
         let forbid_self = [FlowCondition::forbids(NodeId(1), NodeId(1))];
+        // No directed path runs from 3 back to 0.
+        let no_path = [FlowCondition::requires(NodeId(3), NodeId(0))];
         for (conditions, why) in [
             (&both[..], "both required and forbidden"),
             (&forbid_self[..], "always reaches itself"),
+            (&no_path[..], "outside the reachable subgraph"),
         ] {
             let err = QueryKey::canonical(
                 NodeId(0),
@@ -405,13 +404,19 @@ mod tests {
     }
 
     #[test]
-    fn required_self_flow_is_the_unconditioned_key() {
+    fn conditions_that_always_hold_leave_the_unconditioned_key() {
         let plain = key(&[]);
-        let vacuous = key(&[FlowCondition::requires(NodeId(1), NodeId(1))]);
-        assert_eq!(vacuous, plain);
-        assert_eq!(vacuous.hash64(), plain.hash64());
-        assert_eq!(vacuous.chain_key(), plain.chain_key());
-        assert_eq!(vacuous.config, ConfigClass::EXACT);
+        // A node always reaches itself; no path runs from 3 back to 1.
+        for vacuous in [
+            FlowCondition::requires(NodeId(1), NodeId(1)),
+            FlowCondition::forbids(NodeId(3), NodeId(1)),
+        ] {
+            let vacuous = key(&[vacuous]);
+            assert_eq!(vacuous, plain);
+            assert_eq!(vacuous.hash64(), plain.hash64());
+            assert_eq!(vacuous.chain_key(), plain.chain_key());
+            assert_eq!(vacuous.config, ConfigClass::EXACT);
+        }
     }
 
     #[test]

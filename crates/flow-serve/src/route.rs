@@ -11,6 +11,12 @@
 //! estimator tolerance, while the chain runs over a sub-multinomial of
 //! `m_shard << m` edges.
 //!
+//! Conditions are first normalized against the graph with the same
+//! [`normalize_conditions`] planning applies, so a query meets one
+//! condition policy whatever the shard count: a forbidden flow with no
+//! path always holds and adds no shard, and a condition set that can
+//! never hold is rejected here with the error planning would give.
+//!
 //! Fallback policy: a query routes to the sharded path only when its
 //! shard set is a **proper** subset of the partition (`|S| < K`);
 //! spanning every shard, or touching none (source cannot reach the
@@ -22,6 +28,7 @@
 use crate::plan::FlowQuery;
 use flow_core::FlowError;
 use flow_graph::{relevant_edges, EdgePartition, NodeId};
+use flow_icm::query::normalize_conditions;
 use flow_icm::Icm;
 use flow_mcmc::SharedTarget;
 use std::collections::BTreeSet;
@@ -35,21 +42,19 @@ pub enum Route {
     /// The query's relevant subgraph is covered by this proper subset
     /// of shards (sorted, deduplicated).
     Shards(Vec<u32>),
-    /// The query is not representable on the sharded path: a typed
-    /// rejection, never a silent drop.
+    /// The query's conditions can never hold: a typed rejection, the
+    /// same error planning gives an unsharded engine.
     Reject(FlowError),
 }
 
-/// Routes one query against a partition.
-///
-/// A flow condition whose endpoints are connected by no directed path
-/// lies outside every reachable subgraph; the sharded router rejects
-/// such queries with a typed [`FlowError::GraphInconsistency`] instead
-/// of silently dropping the condition (a required flow would be
-/// unsatisfiable, a forbidden one vacuous — either way the query is
-/// malformed with respect to the graph).
+/// Routes one query against a partition, on its conditions as
+/// normalized against the graph (see the module docs).
 pub fn route_query(icm: &Icm, partition: &EdgePartition, query: &FlowQuery) -> Route {
     let graph = icm.graph();
+    let conditions = match normalize_conditions(graph, &query.conditions) {
+        Ok(conditions) => conditions,
+        Err(contradiction) => return Route::Reject(contradiction.into()),
+    };
     let targets: Vec<NodeId> = match &query.target {
         SharedTarget::Sink(s) => vec![*s],
         SharedTarget::Community(members) => members.clone(),
@@ -60,27 +65,9 @@ pub fn route_query(icm: &Icm, partition: &EdgePartition, query: &FlowQuery) -> R
         any = true;
         shards.insert(partition.shard_of(e));
     }
-    for c in &query.conditions {
-        if c.source == c.sink {
-            // No edge constrains `u ~> u`: a node always reaches
-            // itself, so a required self-flow holds vacuously and a
-            // forbidden one never holds, which planning rejects as a
-            // contradiction.
-            continue;
-        }
-        let mut connected = false;
+    for c in &conditions {
         for e in relevant_edges(graph, &[c.source], &[c.sink]) {
-            connected = true;
             shards.insert(partition.shard_of(e));
-        }
-        if !connected {
-            return Route::Reject(FlowError::GraphInconsistency {
-                detail: format!(
-                    "flow condition {}~>{} lies outside the reachable subgraph: \
-                     no directed path connects its endpoints",
-                    c.source.0, c.sink.0
-                ),
-            });
         }
     }
     if !any || shards.len() as u32 >= partition.shard_count() {
@@ -149,12 +136,13 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_condition_is_a_typed_rejection() {
+    fn disconnected_conditions_follow_the_planning_policy() {
         let icm = two_communities();
         let p = partition_edges(icm.graph(), 2);
         let mut q = FlowQuery::flow(NodeId(0), NodeId(3));
         // 4 ~> 0 crosses from the second community into the first:
-        // no directed path exists anywhere in the graph.
+        // no directed path exists anywhere in the graph. Required, it
+        // can never hold.
         q.conditions = vec![FlowCondition::requires(NodeId(4), NodeId(0))];
         match route_query(&icm, &p, &q) {
             Route::Reject(FlowError::GraphInconsistency { detail }) => {
@@ -164,6 +152,13 @@ mod tests {
                 );
             }
             other => panic!("expected a typed rejection, got {other:?}"),
+        }
+        // Forbidden, it always holds: the query routes as if
+        // unconditioned.
+        q.conditions = vec![FlowCondition::forbids(NodeId(4), NodeId(0))];
+        match route_query(&icm, &p, &q) {
+            Route::Shards(s) => assert_eq!(s.len(), 1),
+            other => panic!("expected a single-shard route, got {other:?}"),
         }
     }
 

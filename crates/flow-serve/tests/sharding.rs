@@ -1,7 +1,9 @@
 //! Sharded-serving contracts: `--shards 1` byte-identity, tolerance
 //! agreement between routed and global answers, batch-order-independent
-//! cross-shard merges, typed rejection of conditions outside the
-//! reachable subgraph, empty-shard tolerance, builder validation,
+//! cross-shard merges, one condition policy whatever the shard count
+//! (typed rejection of required conditions outside the reachable
+//! subgraph, forbidden ones dropped), empty-shard tolerance, builder
+//! validation,
 //! byte-identical traces with concurrently served shard units, and the
 //! deprecated-constructor shims.
 
@@ -146,7 +148,7 @@ fn concurrent_shard_units_keep_traces_byte_identical() {
     conditioned.conditions = vec![FlowCondition::requires(NodeId(8), NodeId(9))];
     let queries = vec![
         FlowQuery::flow(NodeId(0), NodeId(3)),
-        // Each community unit sees a contradiction at sub-batch index 0.
+        // Contradictions are rejected while routing, beside the units.
         FlowQuery {
             conditions: contradictory.conditions.clone(),
             ..FlowQuery::flow(NodeId(0), NodeId(3))
@@ -240,6 +242,34 @@ fn condition_outside_reachable_subgraph_is_a_typed_failure() {
     }
     assert_eq!(sharded.stats().failed, 1);
     assert_eq!(sharded.stats().queries, 1);
+}
+
+#[test]
+fn a_forbidden_flow_with_no_path_is_dropped_on_every_shard_count() {
+    let icm = three_communities();
+    let plain = FlowQuery::flow(NodeId(0), NodeId(3));
+    // 4 ~> 3 has no directed path, so forbidding it conditions on
+    // nothing: the query is the plain one, an exact-class key.
+    let mut vacuous = plain.clone();
+    vacuous.conditions = vec![FlowCondition::forbids(NodeId(4), NodeId(3))];
+    let queries = [plain, vacuous];
+    let mut answers = Vec::new();
+    for shards in [1, 3] {
+        let outcomes = build(43, shards).execute_batch(&icm, &queries);
+        let (p, v) = (answer(&outcomes[0]), answer(&outcomes[1]));
+        assert_eq!(
+            p.estimate.to_bits(),
+            v.estimate.to_bits(),
+            "{shards} shards"
+        );
+        assert_eq!(p.samples, v.samples, "{shards} shards");
+        answers.push((v.estimate, v.half_width));
+    }
+    let ((one, hw1), (three, hw3)) = (answers[0], answers[1]);
+    assert!(
+        (one - three).abs() <= (hw1 + hw3).max(0.05),
+        "1 shard {one} vs 3 shards {three}"
+    );
 }
 
 #[test]

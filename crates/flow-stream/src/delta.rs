@@ -97,9 +97,21 @@ enum SealedCascade {
     Unattributed(Episode),
 }
 
+/// Where the ingest stood when an epoch sealed: what a resumed stream
+/// needs to skip the events already sealed and to keep rejecting late
+/// ones.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IngestMark {
+    /// The last event-log line the epoch consumed (0 before any).
+    pub line: usize,
+    /// The highest cascade id sealed so far; events at or below it are
+    /// late.
+    pub watermark: Option<u64>,
+}
+
 /// The evidence accumulated over one epoch, ready for incremental
 /// application to a [`crate::StreamModel`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochDelta {
     /// Fully attributed cascades (betaICM counting feed).
     pub attributed: Vec<AttributedRecord>,
@@ -108,6 +120,8 @@ pub struct EpochDelta {
     pub episodes: Vec<Episode>,
     /// Events carried by the sealed cascades.
     pub events: u64,
+    /// Where the ingest stood when the epoch sealed.
+    pub mark: IngestMark,
 }
 
 impl EpochDelta {

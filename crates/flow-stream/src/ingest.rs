@@ -27,8 +27,14 @@
 //! * `inconsistent` — the node is outside the graph, the attributed
 //!   parent has no edge to the node, or the parent is not already
 //!   active strictly earlier in the cascade.
+//!
+//! **Resume.** Every sealed delta carries its [`IngestMark`]: the last
+//! event-log line it consumed and the late-event watermark.
+//! [`Ingestor::resume`] continues a stream from a recovered mark, so the
+//! restarted stream skips the lines already sealed and rejects the same
+//! late events the uninterrupted one would.
 
-use crate::delta::{CascadeBuilder, EpochDelta};
+use crate::delta::{CascadeBuilder, EpochDelta, IngestMark};
 use crate::event::{parse_line, EventLine, StreamEvent};
 use flow_core::{fault, FlowError, FlowResult};
 use flow_graph::DiGraph;
@@ -89,9 +95,10 @@ pub struct Ingestor {
     config: IngestConfig,
     open: BTreeMap<u64, CascadeBuilder>,
     pending_events: usize,
-    /// Highest cascade id sealed into a past epoch; events at or below
-    /// it are late.
-    watermark: Option<u64>,
+    /// The last line consumed (refused lines are not consumed) and the
+    /// highest cascade id sealed into a past epoch, at or below which
+    /// events are late.
+    mark: IngestMark,
     stats: IngestStats,
 }
 
@@ -104,9 +111,19 @@ impl Ingestor {
             config,
             open: BTreeMap::new(),
             pending_events: 0,
-            watermark: None,
+            mark: IngestMark::default(),
             stats: IngestStats::default(),
         }
+    }
+
+    /// An ingestor over `graph` that continues a stream from `mark`,
+    /// where a recovered model's last epoch sealed: cascades at or below
+    /// its watermark are late. The caller skips the event-log lines up
+    /// to `mark.line`, the graph header among them.
+    pub fn resume(graph: DiGraph, config: IngestConfig, mark: IngestMark) -> Self {
+        let mut i = Ingestor::with_graph(graph, config);
+        i.mark = mark;
+        i
     }
 
     /// An ingestor over an already-known graph; a header line in the
@@ -174,7 +191,22 @@ impl Ingestor {
         } else {
             raw
         };
-        let parsed = match parse_line(raw) {
+        let parsed = parse_line(raw);
+        if matches!(parsed, Ok(EventLine::Event(_)))
+            && self.graph.is_some()
+            && self.pending_events >= self.config.max_pending_events
+        {
+            self.stats.backpressured += 1;
+            return Err(FlowError::Overloaded {
+                detail: format!(
+                    "ingest buffer full ({} pending events); seal an epoch to drain",
+                    self.pending_events
+                ),
+                retry_after_ms: 1,
+            });
+        }
+        self.mark.line = line;
+        let parsed = match parsed {
             Ok(p) => p,
             Err(detail) => return self.reject(line, "malformed", detail),
         };
@@ -192,16 +224,6 @@ impl Ingestor {
                 if self.graph.is_none() {
                     return self.reject(line, "malformed", "event before the graph header".into());
                 };
-                if self.pending_events >= self.config.max_pending_events {
-                    self.stats.backpressured += 1;
-                    return Err(FlowError::Overloaded {
-                        detail: format!(
-                            "ingest buffer full ({} pending events); seal an epoch to drain",
-                            self.pending_events
-                        ),
-                        retry_after_ms: 1,
-                    });
-                }
                 self.push_event(line, event)
             }
         }
@@ -228,7 +250,7 @@ impl Ingestor {
                 format!("node {} outside the {node_count}-node graph", event.node),
             );
         }
-        if self.watermark.is_some_and(|w| event.cascade <= w) {
+        if self.mark.watermark.is_some_and(|w| event.cascade <= w) {
             return self.reject(
                 line,
                 "late",
@@ -282,16 +304,19 @@ impl Ingestor {
     }
 
     /// Closes every open cascade into a delta, advances the late-event
-    /// watermark, and empties the buffer. Sealing with nothing open
-    /// yields an empty delta (callers usually skip those).
+    /// watermark, and empties the buffer. The delta's mark records the
+    /// last line consumed and the advanced watermark. Sealing with
+    /// nothing open yields an empty delta (callers usually skip those).
     pub fn seal_epoch(&mut self) -> EpochDelta {
-        let delta = match &self.graph {
+        let mut delta = match &self.graph {
             Some(graph) => EpochDelta::from_open(&self.open, graph),
             None => EpochDelta::default(),
         };
         if let Some(&last) = self.open.keys().next_back() {
-            self.watermark = Some(self.watermark.map_or(last, |w| w.max(last)));
+            let watermark = self.mark.watermark.map_or(last, |w| w.max(last));
+            self.mark.watermark = Some(watermark);
         }
+        delta.mark = self.mark;
         self.open.clear();
         self.pending_events = 0;
         self.stats.epochs_sealed += 1;
@@ -483,6 +508,55 @@ mod tests {
         // Seal markers are always admitted even at capacity.
         let full = ing.push_line(4, r#"{"seal": true}"#);
         assert!(matches!(full, Ok(Push::Sealed(_))));
+    }
+
+    #[test]
+    fn seals_mark_the_last_consumed_line_and_the_watermark() {
+        let mut ing = Ingestor::with_graph(
+            diamond(),
+            IngestConfig {
+                max_pending_events: 1,
+            },
+        );
+        ing.push_line(1, "# a comment is consumed too").unwrap();
+        ing.push_line(2, r#"{"cascade": 4, "node": 0, "t": 0}"#)
+            .unwrap();
+        // A refused line is not consumed, so the mark stays on line 2.
+        assert!(ing
+            .push_line(3, r#"{"cascade": 5, "node": 0, "t": 0}"#)
+            .is_err());
+        let mark = ing.seal_epoch().mark;
+        assert_eq!(
+            mark,
+            IngestMark {
+                line: 2,
+                watermark: Some(4)
+            }
+        );
+        // A seal marker is the last line of the epoch it seals.
+        ing.push_line(3, r#"{"cascade": 5, "node": 0, "t": 0}"#)
+            .unwrap();
+        let Ok(Push::Sealed(delta)) = ing.push_line(4, r#"{"seal": true}"#) else {
+            panic!("a seal marker seals");
+        };
+        assert_eq!(delta.mark.line, 4);
+        assert_eq!(delta.mark.watermark, Some(5));
+        // A resumed ingestor rejects what the original would have.
+        let mut resumed = Ingestor::resume(diamond(), IngestConfig::default(), delta.mark);
+        let err = resumed
+            .push_line(5, r#"{"cascade": 5, "node": 1, "t": 0}"#)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            FlowError::RejectedEvent { reason: "late", .. }
+        ));
+        resumed
+            .push_line(6, r#"{"cascade": 6, "node": 1, "t": 0}"#)
+            .unwrap();
+        assert_eq!(resumed.seal_epoch().mark.line, 6);
+        // An empty seal keeps the watermark it resumed from.
+        let mut idle = Ingestor::resume(diamond(), IngestConfig::default(), delta.mark);
+        assert_eq!(idle.seal_epoch().mark, delta.mark);
     }
 
     #[test]

@@ -30,7 +30,9 @@ use flow_mcmc::{
 use flow_obs::{FieldValue, MemorySink, ScopedRecorder};
 use flow_serve::{FlowQuery, QueryOutcome, ServeCache, ServeConfig, ServeEngine};
 use flow_stats::{Beta, WeightTree};
-use flow_stream::{IngestConfig, Ingestor, Push, SnapshotStore, StreamModel};
+use flow_stream::{
+    IngestConfig, IngestMark, Ingestor, ModelRegistry, Push, SnapshotStore, StreamModel,
+};
 use flow_twitter::read_tsv_lossy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -458,8 +460,9 @@ fn truncated_ingest_lines_are_recorded_not_fatal() {
 //
 // The streaming layer's contract under faults: a corrupted wire line
 // costs exactly that line (typed rejection + telemetry, the stream
-// keeps flowing), and a torn snapshot write is caught by the checksum
-// on load with fallback to the newest intact epoch.
+// keeps flowing), a torn snapshot write is caught by the checksum on
+// load with fallback to the newest intact epoch, and a log append torn
+// before its sync costs only the epoch it was sealing.
 
 #[test]
 fn corrupted_stream_event_is_rejected_and_the_stream_flows_on() {
@@ -507,7 +510,7 @@ fn torn_snapshot_write_fails_the_checksum_and_the_last_good_epoch_survives() {
     let _guard = armed();
     let dir = std::env::temp_dir().join(format!("flow-robust-snap-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let store = SnapshotStore::new(dir.clone());
+    let mut store = SnapshotStore::new(dir.clone());
 
     // Two sealed epochs' worth of evidence on a 3-node chain.
     let mut ing = Ingestor::with_graph(
@@ -546,9 +549,72 @@ fn torn_snapshot_write_fails_the_checksum_and_the_last_good_epoch_survives() {
 
     // Recovery skips the torn epoch and lands on the newest intact one,
     // bit-for-bit the state that was sealed there.
-    let (latest_path, latest) = store.load_latest().unwrap().expect("epoch 1 must survive");
-    assert_eq!(latest_path, good);
+    let (latest, recovered) = store.load_latest().unwrap().expect("epoch 1 must survive");
+    assert_eq!(recovered.snapshot, good);
     assert_eq!(latest.epoch(), 1);
     assert_eq!(latest.state_fingerprint(), fp1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn append_torn_before_its_sync_costs_only_the_epoch_it_sealed() {
+    let _guard = armed();
+    let dir = std::env::temp_dir().join(format!("flow-robust-log-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let graph = graph_from_edges(3, &[(0, 1), (1, 2)]);
+    let lines = [
+        r#"{"cascade": 1, "node": 0, "t": 0}"#,
+        r#"{"cascade": 1, "node": 1, "t": 1, "parent": 0}"#,
+        r#"{"seal": true}"#,
+        r#"{"cascade": 2, "node": 1, "t": 0}"#,
+        r#"{"cascade": 2, "node": 2, "t": 2}"#,
+        r#"{"seal": true}"#,
+        r#"{"cascade": 3, "node": 0, "t": 0}"#,
+        r#"{"cascade": 3, "node": 1, "t": 1, "parent": 0}"#,
+        r#"{"cascade": 3, "node": 2, "t": 2, "parent": 1}"#,
+        r#"{"seal": true}"#,
+    ];
+    // Feeds `lines` from just after `mark.line` into `registry`, sealing
+    // at each marker; stops at the first seal that fails.
+    let feed = |registry: &mut ModelRegistry, mark: IngestMark| -> Result<(), FlowError> {
+        let mut ing = Ingestor::resume(graph.clone(), IngestConfig::default(), mark);
+        for (i, line) in lines.iter().enumerate().skip(mark.line) {
+            if let Ok(Push::Sealed(delta)) = ing.push_line(i + 1, line) {
+                registry.seal_epoch(&delta)?;
+            }
+        }
+        Ok(())
+    };
+    let fresh = || StreamModel::new(graph.clone(), TimingAssumption::AnyEarlier);
+
+    // The uninterrupted stream: epoch 1 snapshots, epochs 2 and 3 log.
+    let mut live = ModelRegistry::new(fresh(), None);
+    feed(&mut live, IngestMark::default()).unwrap();
+    assert_eq!(live.model().epoch(), 3);
+
+    // The crashing one: epoch 1's snapshot lands, epoch 2's record is
+    // torn before its sync and the seal fails.
+    fault::arm("persist.torn_append", FaultSpec::always(0.0));
+    let mut crashed = ModelRegistry::new(fresh(), Some(SnapshotStore::new(&dir)));
+    let err = feed(&mut crashed, IngestMark::default()).unwrap_err();
+    assert!(matches!(err, FlowError::Io { .. }), "{err}");
+    assert_eq!(fault::fired_count("persist.torn_append"), 1);
+    fault::clear_all();
+
+    // Recovery keeps the snapshot, drops the torn record, and resumes
+    // at epoch 1's mark; re-sealing from there ends on the live state.
+    let (mut resumed, recovered) = ModelRegistry::recover(SnapshotStore::new(&dir))
+        .unwrap()
+        .expect("epoch 1's snapshot survives");
+    assert_eq!(recovered.replayed, 0);
+    assert_eq!(resumed.model().epoch(), 1);
+    assert_eq!(resumed.model().mark().line, 3);
+    let mark = resumed.model().mark();
+    feed(&mut resumed, mark).unwrap();
+    assert_eq!(
+        resumed.model().state_fingerprint(),
+        live.model().state_fingerprint()
+    );
+    assert_eq!(resumed.model().mark(), live.model().mark());
     std::fs::remove_dir_all(&dir).ok();
 }
