@@ -11,8 +11,8 @@
 
 use crate::joint_bayes::{JointBayes, JointBayesConfig};
 use crate::saito::{saito_em, SaitoConfig};
-use crate::summary::{filtered_betas, Episode, SinkSummary, TimingAssumption};
-use flow_graph::{DiGraph, EdgeId, NodeId};
+use crate::summary::{filtered_betas, Episode, SinkSummary, SinkTables, TimingAssumption};
+use flow_graph::{DiGraph, EdgeId};
 use flow_icm::{BetaIcm, Icm};
 use flow_stats::{Beta, Normal};
 use rand::Rng;
@@ -94,14 +94,9 @@ pub fn summarize_graph(
     episodes: &[Episode],
     timing: TimingAssumption,
 ) -> Vec<SinkSummary> {
-    graph
-        .nodes()
-        .filter(|&k| graph.in_degree(k) > 0)
-        .map(|k| {
-            let parents: Vec<NodeId> = graph.in_edges(k).iter().map(|&e| graph.src(e)).collect();
-            SinkSummary::build(k, parents, episodes, timing)
-        })
-        .collect()
+    let mut tables = SinkTables::new(graph, timing);
+    tables.extend(episodes);
+    tables.into_summaries()
 }
 
 /// Trains every edge of `graph` from unattributed `episodes` with the
@@ -169,6 +164,7 @@ mod tests {
     use super::*;
     use crate::synthetic::episodes_from_icm;
     use flow_graph::graph::graph_from_edges;
+    use flow_graph::NodeId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

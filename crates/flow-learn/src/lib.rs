@@ -43,4 +43,4 @@ pub use graph_train::{train_graph, LearnedEdges, Learner};
 pub use joint_bayes::{EdgePosterior, JointBayes, JointBayesConfig};
 pub use predictive::{posterior_predictive_check, PredictiveCheck};
 pub use saito::{saito_em, SaitoConfig, TimingAssumption};
-pub use summary::{filtered_betas, Episode, SinkSummary, SummaryRow};
+pub use summary::{filtered_betas, Episode, SinkSummary, SinkTables, SummaryRow};
