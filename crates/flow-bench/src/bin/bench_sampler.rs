@@ -1,19 +1,32 @@
-//! `bench_sampler` — the observability overhead baseline.
+//! `bench_sampler` — the observability overhead baseline and the
+//! paper's §IV-C sampler timing.
 //!
-//! Produces `BENCH_sampler.json` (schema `flow-bench/sampler-v2`, path
+//! Produces `BENCH_sampler.json` (schema `flow-bench/sampler-v3`, path
 //! overridable as the first CLI argument): sampler steps/sec and
 //! parallel-estimator wall time with the flow-obs recorder disabled vs
 //! enabled, plus a micro-benchmark of the disabled fast path (one
-//! relaxed atomic load per call). Two hard acceptance gates (exit 1):
+//! relaxed atomic load per call). Its `section_iv_c` holds the two
+//! quantities §IV-C reports at about 6K users and 14K edges (0.13 ms
+//! per chain update, 27 ms per output sample) measured on
+//! [`flow_bench::twitter_scale_icm`], and the cost of one update as the
+//! model grows from 500 to 128 000 edges. Three hard acceptance gates
+//! (exit 1):
 //!
 //! * the **enabled**-recorder slowdown of the sampler hot loop stays
 //!   within 10% — the hot loop accumulates counters in plain struct
 //!   fields and dispatches them once per `run()` batch, so an enabled
 //!   recorder costs a handful of dispatched calls per ten thousand
-//!   steps, not two per step;
-//! * the **disabled**-recorder overhead stays under 5% of step time.
+//!   steps, not two per step. The slowdown is the median over
+//!   [`SLOWDOWN_PAIRS`] back-to-back disabled/enabled window pairs in
+//!   alternating order. On a shared 2-vCPU guest the host's CPU grant
+//!   drifts between windows: one window per side read from -26% to
+//!   +17% over 79 runs, five pairs from -8% to +8% over ten;
+//! * the **disabled**-recorder overhead stays under 5% of step time;
+//! * an update at 128 000 edges costs at most 8x one at 500 edges. The
+//!   Fenwick-tree proposal makes an update `O(log m)`, 2-3x over this
+//!   256x range of `m`; an `O(m)` update would cost 256x.
 //!
-//! The v2 schema separates *counted increments* per step (logical
+//! Since v2 the schema separates *counted increments* per step (logical
 //! telemetry, ~2/step, unchanged by batching) from *dispatched
 //! recorder calls* per step (what actually costs time, ~7 per `run()`
 //! batch), so the JSON records both semantics-preserved counting and
@@ -22,7 +35,7 @@
 //! Wall-clock timing is the entire point of this binary.
 #![allow(clippy::disallowed_methods)]
 
-use flow_bench::scaling_icm;
+use flow_bench::{scaling_icm, twitter_scale_icm};
 use flow_graph::NodeId;
 use flow_icm::Icm;
 use flow_mcmc::{
@@ -44,27 +57,61 @@ const PARALLEL_EDGES: usize = 200;
 const PARALLEL_SAMPLES: usize = 300;
 /// Chains in the parallel benchmark.
 const PARALLEL_CHAINS: usize = 4;
-/// Minimum timed window per throughput measurement.
-const MIN_WINDOW_SECS: f64 = 1.5;
+/// Disabled/enabled window pairs behind the enabled-recorder slowdown.
+const SLOWDOWN_PAIRS: usize = 5;
+/// Timed window per throughput measurement.
+const THROUGHPUT_WINDOW_SECS: f64 = 0.3;
 /// Iterations for the disabled-call micro-benchmark.
 const MICRO_CALLS: u64 = 20_000_000;
+/// Sampler steps per timed batch.
+const STEP_BATCH: usize = 10_000;
+/// MH steps per output sample in the §IV-C timing.
+const OUTPUT_THIN: usize = 200;
+/// Edge counts of the §IV-C update-scaling sweep.
+const SCALING_EDGES: [usize; 5] = [500, 2_000, 8_000, 32_000, 128_000];
+/// Timed window per §IV-C measurement: its seven windows add about two
+/// seconds to the run.
+const SECTION_IV_C_WINDOW_SECS: f64 = 0.25;
 
-/// Runs sampler steps in batches until the timed window is long enough
-/// to trust, returning (steps/sec, total steps run).
-fn sampler_throughput(icm: &Icm, seed: u64) -> (f64, u64) {
+/// Runs `batch` on a warmed-up sampler over `icm` until `window_secs`
+/// have passed, returning (batches/sec, batches run).
+fn sampler_throughput(
+    icm: &Icm,
+    seed: u64,
+    window_secs: f64,
+    mut batch: impl FnMut(&mut PseudoStateSampler<'_>, &mut StdRng),
+) -> (f64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sampler = PseudoStateSampler::new(icm, ProposalKind::ResultingActivity, &mut rng);
     sampler.run(20_000, &mut rng); // warm-up: tree caches, branch predictors
     let start = Instant::now();
-    let mut steps: u64 = 0;
+    let mut batches: u64 = 0;
     loop {
-        sampler.run(10_000, &mut rng);
-        steps += 10_000;
+        batch(&mut sampler, &mut rng);
+        batches += 1;
         let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= MIN_WINDOW_SECS {
-            return (steps as f64 / elapsed, steps);
+        if elapsed >= window_secs {
+            return (batches as f64 / elapsed, batches);
         }
     }
+}
+
+/// Chain updates on `icm` in `run()` batches of [`STEP_BATCH`], timed
+/// over `window_secs`: (steps/sec, steps run).
+fn steps_per_sec(icm: &Icm, seed: u64, window_secs: f64) -> (f64, u64) {
+    let (batches_per_sec, batches) = sampler_throughput(icm, seed, window_secs, |sampler, rng| {
+        sampler.run(STEP_BATCH, rng)
+    });
+    (
+        batches_per_sec * STEP_BATCH as f64,
+        batches * STEP_BATCH as u64,
+    )
+}
+
+/// The median of an odd-length sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Times one guarded multi-chain run, returning wall milliseconds.
@@ -134,8 +181,8 @@ fn dispatched_calls_per_step(icm: &Icm, seed: u64) -> f64 {
         let _r = ScopedRecorder::install(sink.clone());
         // Same batch size the throughput loop uses, so the dispatch
         // amortization matches what the slowdown number measured.
-        for _ in 0..STEPS / 10_000 {
-            sampler.run(10_000, &mut rng);
+        for _ in 0..STEPS / STEP_BATCH as u64 {
+            sampler.run(STEP_BATCH, &mut rng);
         }
     }
     sink.calls.load(Ordering::Relaxed) as f64 / STEPS as f64
@@ -161,14 +208,36 @@ fn main() {
     let parallel_icm = scaling_icm(PARALLEL_EDGES, 42);
     let parallel_sink = NodeId((parallel_icm.node_count() - 1) as u32);
 
-    eprintln!("[1/6] sampler throughput, recorder disabled ...");
-    let (sps_disabled, steps_disabled) = sampler_throughput(&throughput_icm, 1);
-
-    eprintln!("[2/6] sampler throughput, recorder enabled (memory sink) ...");
+    eprintln!("[1/6] sampler throughput, recorder disabled vs enabled (memory sink) ...");
     let sink = Arc::new(MemorySink::new());
-    let (sps_enabled, steps_enabled, counted_increments_per_step) = {
+    let disabled_window = || steps_per_sec(&throughput_icm, 1, THROUGHPUT_WINDOW_SECS);
+    let enabled_window = || {
         let _r = ScopedRecorder::install(sink.clone());
-        let (sps, steps) = sampler_throughput(&throughput_icm, 1);
+        steps_per_sec(&throughput_icm, 1, THROUGHPUT_WINDOW_SECS)
+    };
+    let mut disabled = Vec::with_capacity(SLOWDOWN_PAIRS);
+    let mut enabled = Vec::with_capacity(SLOWDOWN_PAIRS);
+    for pair in 0..SLOWDOWN_PAIRS {
+        if pair.is_multiple_of(2) {
+            disabled.push(disabled_window());
+            enabled.push(enabled_window());
+        } else {
+            enabled.push(enabled_window());
+            disabled.push(disabled_window());
+        }
+    }
+    let enabled_slowdown_pct = median(
+        disabled
+            .iter()
+            .zip(&enabled)
+            .map(|(d, e)| 100.0 * (1.0 - e.0 / d.0))
+            .collect(),
+    );
+    let sps_disabled = median(disabled.iter().map(|w| w.0).collect());
+    let sps_enabled = median(enabled.iter().map(|w| w.0).collect());
+    let steps_disabled: u64 = disabled.iter().map(|w| w.1).sum();
+    let steps_enabled: u64 = enabled.iter().map(|w| w.1).sum();
+    let counted_increments_per_step = {
         // Logical telemetry per step: every terminal counter the hot
         // loop can hit, summed from the sink's registry. Batching must
         // leave this unchanged (~2/step) — only the dispatch rate drops.
@@ -184,27 +253,45 @@ fn main() {
         .iter()
         .map(|n| sink.counter_value(n))
         .sum();
-        (
-            sps,
-            steps,
-            total as f64 / sink.counter_value("sampler.steps").max(1) as f64,
-        )
+        total as f64 / sink.counter_value("sampler.steps").max(1) as f64
     };
 
-    eprintln!("[3/6] dispatched recorder calls per step ...");
+    eprintln!("[2/6] dispatched recorder calls per step ...");
     let dispatched_per_step = dispatched_calls_per_step(&throughput_icm, 1);
 
-    eprintln!("[4/6] parallel estimator, recorder disabled ...");
+    eprintln!("[3/6] parallel estimator, recorder disabled ...");
     let par_disabled_ms = parallel_wall_ms(&parallel_icm, parallel_sink);
 
-    eprintln!("[5/6] parallel estimator, recorder enabled ...");
+    eprintln!("[4/6] parallel estimator, recorder enabled ...");
     let par_enabled_ms = {
         let _r = ScopedRecorder::install(Arc::new(MemorySink::new()));
         parallel_wall_ms(&parallel_icm, parallel_sink)
     };
 
-    eprintln!("[6/6] disabled fast-path micro-benchmark ...");
+    eprintln!("[5/6] disabled fast-path micro-benchmark ...");
     let ns_per_call = disabled_ns_per_call();
+
+    eprintln!("[6/6] §IV-C: updates and output samples at 6K/14K, update scaling ...");
+    let twitter_icm = twitter_scale_icm(1);
+    let twitter_sink = NodeId((twitter_icm.node_count() - 1) as u32);
+    let us_per_update = 1e6 / steps_per_sec(&twitter_icm, 2, SECTION_IV_C_WINDOW_SECS).0;
+    let (samples_per_sec, _) =
+        sampler_throughput(&twitter_icm, 2, SECTION_IV_C_WINDOW_SECS, |sampler, rng| {
+            sampler.run(OUTPUT_THIN, rng);
+            std::hint::black_box(sampler.carries_flow(NodeId(0), twitter_sink));
+        });
+    let us_per_output_sample = 1e6 / samples_per_sec;
+    let scaling_ns: Vec<f64> = SCALING_EDGES
+        .iter()
+        .map(|&m| 1e9 / steps_per_sec(&scaling_icm(m, 3), 4, SECTION_IV_C_WINDOW_SECS).0)
+        .collect();
+    let scaling_ratio = scaling_ns[SCALING_EDGES.len() - 1] / scaling_ns[0];
+    let scaling_by_edges = SCALING_EDGES
+        .iter()
+        .zip(&scaling_ns)
+        .map(|(m, ns)| format!("\"{m}\": {ns:.1}"))
+        .collect::<Vec<_>>()
+        .join(", ");
 
     // Disabled overhead: cost of one disabled call times the dispatch
     // rate, as a fraction of step time. With batched counters the
@@ -212,12 +299,12 @@ fn main() {
     // the enabled-run dispatch rate is a conservative upper bound.
     let step_ns_disabled = 1e9 / sps_disabled;
     let disabled_overhead_pct = 100.0 * ns_per_call * dispatched_per_step / step_ns_disabled;
-    let enabled_slowdown_pct = 100.0 * (1.0 - sps_enabled / sps_disabled);
     const ENABLED_BUDGET_PCT: f64 = 10.0;
     const DISABLED_BUDGET_PCT: f64 = 5.0;
+    const SCALING_BUDGET_RATIO: f64 = 8.0;
 
     let json = format!(
-        "{{\n  \"bench\": \"sampler\",\n  \"schema\": \"{schema}\",\n  \"throughput_edges\": {te},\n  \"sampler\": {{\n    \"steps_per_sec_disabled\": {sd:.0},\n    \"steps_per_sec_enabled\": {se:.0},\n    \"steps_timed_disabled\": {std},\n    \"steps_timed_enabled\": {ste},\n    \"enabled_slowdown_pct\": {esp:.2},\n    \"enabled_budget_pct\": {eb},\n    \"enabled_within_budget\": {ewb}\n  }},\n  \"counters\": {{\n    \"counted_increments_per_step\": {cis:.3},\n    \"dispatched_calls_per_step\": {dcs:.5}\n  }},\n  \"parallel_estimator\": {{\n    \"edges\": {pe},\n    \"chains\": {pc},\n    \"samples_per_chain\": {ps},\n    \"wall_ms_disabled\": {pd:.1},\n    \"wall_ms_enabled\": {pen:.1}\n  }},\n  \"disabled_path\": {{\n    \"ns_per_call\": {nc:.3},\n    \"overhead_pct\": {dop:.4},\n    \"budget_pct\": {db},\n    \"within_budget\": {wb}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sampler\",\n  \"schema\": \"{schema}\",\n  \"throughput_edges\": {te},\n  \"sampler\": {{\n    \"steps_per_sec_disabled\": {sd:.0},\n    \"steps_per_sec_enabled\": {se:.0},\n    \"steps_timed_disabled\": {std},\n    \"steps_timed_enabled\": {ste},\n    \"enabled_slowdown_pct\": {esp:.2},\n    \"enabled_budget_pct\": {eb},\n    \"enabled_within_budget\": {ewb}\n  }},\n  \"counters\": {{\n    \"counted_increments_per_step\": {cis:.3},\n    \"dispatched_calls_per_step\": {dcs:.5}\n  }},\n  \"parallel_estimator\": {{\n    \"edges\": {pe},\n    \"chains\": {pc},\n    \"samples_per_chain\": {ps},\n    \"wall_ms_disabled\": {pd:.1},\n    \"wall_ms_enabled\": {pen:.1}\n  }},\n  \"disabled_path\": {{\n    \"ns_per_call\": {nc:.3},\n    \"overhead_pct\": {dop:.4},\n    \"budget_pct\": {db},\n    \"within_budget\": {wb}\n  }},\n  \"section_iv_c\": {{\n    \"nodes\": {tn},\n    \"edges\": {tm},\n    \"us_per_update\": {upu:.3},\n    \"thin\": {thin},\n    \"us_per_output_sample\": {upo:.1},\n    \"ns_per_update_by_edges\": {{{sbe}}},\n    \"scaling_ratio\": {sr:.2},\n    \"scaling_budget_ratio\": {sbr},\n    \"scaling_within_budget\": {swb}\n  }}\n}}\n",
         schema = flow_core::schema::BENCH_SAMPLER.tag(),
         te = THROUGHPUT_EDGES,
         sd = sps_disabled,
@@ -238,6 +325,15 @@ fn main() {
         dop = disabled_overhead_pct,
         db = DISABLED_BUDGET_PCT,
         wb = disabled_overhead_pct <= DISABLED_BUDGET_PCT,
+        tn = twitter_icm.node_count(),
+        tm = twitter_icm.edge_count(),
+        upu = us_per_update,
+        thin = OUTPUT_THIN,
+        upo = us_per_output_sample,
+        sbe = scaling_by_edges,
+        sr = scaling_ratio,
+        sbr = SCALING_BUDGET_RATIO,
+        swb = scaling_ratio <= SCALING_BUDGET_RATIO,
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => {
@@ -259,6 +355,14 @@ fn main() {
     if disabled_overhead_pct > DISABLED_BUDGET_PCT {
         eprintln!(
             "error: disabled-recorder overhead {disabled_overhead_pct:.2}% exceeds the {DISABLED_BUDGET_PCT}% budget"
+        );
+        failed = true;
+    }
+    if scaling_ratio > SCALING_BUDGET_RATIO {
+        eprintln!(
+            "error: an update at {} edges costs {scaling_ratio:.2}x one at {} edges, over the {SCALING_BUDGET_RATIO}x budget",
+            SCALING_EDGES[SCALING_EDGES.len() - 1],
+            SCALING_EDGES[0]
         );
         failed = true;
     }

@@ -1,20 +1,17 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Shared fixtures for the bench binaries.
 //!
-//! The benches regenerate the paper's performance claims:
+//! * [`twitter_scale_icm`] — the scale of the paper's §IV-C timing
+//!   claim: "on a small sample from Twitter with around 6K users and
+//!   14K edges, our sampler takes 27 milliseconds per output sample
+//!   (0.13 milliseconds per Markov-Chain update)". `bench_sampler`
+//!   measures the same two quantities at this scale.
+//! * [`scaling_icm`] — `m` edges on `m/2` nodes: `bench_sampler`'s
+//!   throughput models and its `O(log m)` update-scaling sweep, and the
+//!   models `bench_serve` and `bench_stream` serve and learn.
+//! * [`multi_community_icm`] — `bench_serve`'s sharded workload.
 //!
-//! * `mh_sampler` — §IV-C: "on a small sample from Twitter with around
-//!   6K users and 14K edges, our sampler takes 27 milliseconds per
-//!   output sample (0.13 milliseconds per Markov-Chain update)". We
-//!   measure the same two quantities at the same scale and verify the
-//!   `O(log m)` chain-update scaling.
-//! * `fig6_learning_cost` — Fig. 6's per-sample cost comparison (ours
-//!   vs Goyal).
-//! * `summarization` — §V-C: the summary is `O(min(2ⁿ, m))` wide and
-//!   makes likelihood evaluation independent of the object count.
-//! * `exact_vs_mh` — exponential exact evaluation vs sampling.
-//! * `ablation_proposal` / `ablation_weight_tree` — the design choices
-//!   called out in DESIGN.md (proposal-weight convention; Fenwick tree
-//!   vs linear-scan sampling).
+//! `repro fig6` (flow-exp) measures Fig. 6's learning cost and §V-C's
+//! summary width.
 
 use flow_graph::{GraphBuilder, NodeId};
 use flow_icm::Icm;
@@ -79,6 +76,10 @@ mod tests {
         let icm = scaling_icm(500, 1);
         assert_eq!(icm.edge_count(), 500);
         assert_eq!(icm.node_count(), 250);
+        // The §IV-C scale EXPERIMENTS.md compares with the paper.
+        let twitter = twitter_scale_icm(1);
+        assert_eq!(twitter.node_count(), 6_000);
+        assert_eq!(twitter.edge_count(), 14_000);
     }
 
     #[test]

@@ -119,8 +119,9 @@ pub const PERF_RUN: SchemaId = SchemaId::new("flow-perf/run", 1);
 /// sharded section.
 pub const BENCH_SERVE: SchemaId = SchemaId::new("flow-bench/serve", 3);
 
-/// `bench_sampler`'s result file (`BENCH_sampler.json`).
-pub const BENCH_SAMPLER: SchemaId = SchemaId::new("flow-bench/sampler", 2);
+/// `bench_sampler`'s result file (`BENCH_sampler.json`). v3 added the
+/// §IV-C section.
+pub const BENCH_SAMPLER: SchemaId = SchemaId::new("flow-bench/sampler", 3);
 
 /// `bench_stream`'s result file (`BENCH_stream.json`).
 pub const BENCH_STREAM: SchemaId = SchemaId::new("flow-bench/stream", 1);
@@ -179,7 +180,7 @@ mod tests {
         assert_eq!(PERF_BASELINE.tag(), "flow-perf/baseline-v1");
         assert_eq!(PERF_RUN.tag(), "flow-perf/run-v1");
         assert_eq!(BENCH_SERVE.tag(), "flow-bench/serve-v3");
-        assert_eq!(BENCH_SAMPLER.tag(), "flow-bench/sampler-v2");
+        assert_eq!(BENCH_SAMPLER.tag(), "flow-bench/sampler-v3");
         assert_eq!(BENCH_STREAM.tag(), "flow-bench/stream-v1");
     }
 }

@@ -611,9 +611,12 @@ mod tests {
         std::fs::read_to_string(dir.join("out/stream_stats.json")).unwrap()
     }
 
+    /// An epoch number and its `"state"` fingerprint.
+    type EpochState = (u64, String);
+
     /// The `"state"` fingerprints of a stats file's epoch rows, by
     /// epoch, and the resumed epoch's if any.
-    fn states(stats: &str) -> (Vec<(u64, String)>, Option<(u64, String)>) {
+    fn states(stats: &str) -> (Vec<EpochState>, Option<EpochState>) {
         use serde_json::Value;
         let json: Value = serde_json::from_str(stats).unwrap();
         let row = |v: &Value| match (v.get("epoch"), v.get("state")) {

@@ -59,21 +59,6 @@ pub fn uniform_edges<R: Rng + ?Sized>(rng: &mut R, n: usize, m: usize) -> DiGrap
     b.build()
 }
 
-/// Erdős–Rényi `G(n, p)`: each ordered pair `(u, v)`, `u != v`, is an edge
-/// independently with probability `p`.
-pub fn erdos_renyi<R: Rng + ?Sized>(rng: &mut R, n: usize, p: f64) -> DiGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n as u32 {
-        for v in 0..n as u32 {
-            if u != v && rng.random::<f64>() < p {
-                b.add_edge(NodeId(u), NodeId(v)).expect("unique pair");
-            }
-        }
-    }
-    b.build()
-}
-
 /// Directed preferential attachment: nodes arrive one at a time; each new
 /// node links to `k` existing nodes chosen with probability proportional
 /// to `in_degree + 1`, and each chosen target links back with probability
@@ -206,22 +191,6 @@ mod tests {
     fn uniform_edges_rejects_overfull() {
         let mut rng = StdRng::seed_from_u64(1);
         let _ = uniform_edges(&mut rng, 3, 7);
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(erdos_renyi(&mut rng, 6, 0.0).edge_count(), 0);
-        assert_eq!(erdos_renyi(&mut rng, 6, 1.0).edge_count(), 30);
-    }
-
-    #[test]
-    fn erdos_renyi_density_close_to_p() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 60;
-        let g = erdos_renyi(&mut rng, n, 0.3);
-        let density = g.edge_count() as f64 / (n * (n - 1)) as f64;
-        assert!((density - 0.3).abs() < 0.05, "density {density}");
     }
 
     #[test]

@@ -194,29 +194,6 @@ impl DiGraph {
                 detail: format!("required edge {} -> {} is missing", u.0, v.0),
             })
     }
-
-    /// Renders the graph in Graphviz DOT format, with an optional label
-    /// per edge (e.g. activation probabilities).
-    pub fn to_dot(&self, edge_label: impl Fn(EdgeId) -> Option<String>) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph g {\n");
-        for v in self.nodes() {
-            let _ = writeln!(out, "  {};", v.0);
-        }
-        for e in self.edges() {
-            let (u, v) = self.endpoints(e);
-            match edge_label(e) {
-                Some(label) => {
-                    let _ = writeln!(out, "  {} -> {} [label=\"{}\"];", u.0, v.0, label);
-                }
-                None => {
-                    let _ = writeln!(out, "  {} -> {};", u.0, v.0);
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// Errors reported by [`GraphBuilder::build`] and edge insertion.
@@ -533,16 +510,6 @@ mod tests {
         for e in g.edges() {
             assert_eq!(g.endpoints(e), g2.endpoints(e), "prefix ids stable");
         }
-    }
-
-    #[test]
-    fn dot_output_contains_edges() {
-        let g = graph_from_edges(2, &[(0, 1)]);
-        let dot = g.to_dot(|_| Some("0.5".to_string()));
-        assert!(dot.contains("0 -> 1"));
-        assert!(dot.contains("0.5"));
-        let plain = g.to_dot(|_| None);
-        assert!(plain.contains("0 -> 1;"));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`BitSet`] — a compact fixed-capacity bitset used for pseudo-states
 //!   (one bit per edge) and characteristics (one bit per parent).
 //! * [`generate`] — random-graph generators used by the paper's synthetic
-//!   experiments (uniform-m, Erdős–Rényi, preferential attachment, and
-//!   deterministic fixtures).
+//!   experiments (uniform-m, preferential attachment, and deterministic
+//!   fixtures).
 //! * [`traverse`] — BFS reachability (optionally restricted to an active
 //!   edge mask), multi-source reachability, backward co-reachability,
 //!   and radius-bounded ego subgraph extraction, all of which back
@@ -30,14 +30,12 @@ pub mod generate;
 pub mod graph;
 pub mod partition;
 pub mod paths;
-pub mod scc;
 pub mod traverse;
 
 pub use bitset::BitSet;
 pub use graph::{DiGraph, EdgeId, GraphBuilder, NodeId};
 pub use partition::{partition_edges, EdgePartition};
 pub use paths::{shortest_path_distances, shortest_path_to};
-pub use scc::{strongly_connected_components, Condensation};
 pub use traverse::{
     co_reachable, ego_subgraph, reachable, reachable_filtered, relevant_edges, EgoSubgraph,
     Reachability,

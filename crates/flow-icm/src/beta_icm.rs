@@ -82,11 +82,6 @@ impl BetaIcm {
         self.params[e.index()]
     }
 
-    /// Replaces the Beta distribution of edge `e`.
-    pub fn set_edge_beta(&mut self, e: EdgeId, b: Beta) {
-        self.params[e.index()] = b;
-    }
-
     /// All per-edge Beta parameters.
     pub fn params(&self) -> &[Beta] {
         &self.params

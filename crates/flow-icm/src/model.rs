@@ -100,21 +100,11 @@ impl Icm {
         self.probs[e.index()] = p;
     }
 
-    /// Activation probability of the edge `u -> v`, if it exists.
-    pub fn probability_between(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        self.graph.find_edge(u, v).map(|e| self.probability(e))
-    }
-
     /// Exact end-to-end flow probability `Pr[u ~> v]` by pseudo-state
     /// enumeration. Exponential in the edge count; see
     /// [`crate::exact::enumerate_flow_probability`] for the guardrails.
     pub fn exact_flow_probability(&self, source: NodeId, sink: NodeId) -> f64 {
         crate::exact::enumerate_flow_probability(self, source, sink)
-    }
-
-    /// Consumes the model, returning its parts.
-    pub fn into_parts(self) -> (DiGraph, Vec<f64>) {
-        (self.graph, self.probs)
     }
 }
 
@@ -130,8 +120,6 @@ mod tests {
         assert_eq!(icm.node_count(), 3);
         assert_eq!(icm.edge_count(), 2);
         assert_eq!(icm.probability(EdgeId(0)), 0.25);
-        assert_eq!(icm.probability_between(NodeId(1), NodeId(2)), Some(0.75));
-        assert_eq!(icm.probability_between(NodeId(2), NodeId(1)), None);
     }
 
     #[test]

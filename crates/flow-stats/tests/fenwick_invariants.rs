@@ -50,7 +50,7 @@ proptest! {
         // delta far beyond the checker's rounding tolerance, in either
         // direction.
         let idx = 1 + node_pick % init.len();
-        let delta = if node_pick % 2 == 0 { magnitude } else { -magnitude };
+        let delta = if node_pick.is_multiple_of(2) { magnitude } else { -magnitude };
         tree.corrupt_tree_node_for_tests(idx, delta);
         prop_assert!(
             tree.check_consistency().is_err(),

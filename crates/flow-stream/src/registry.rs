@@ -694,7 +694,7 @@ mod tests {
         lines.push(format!(
             r#"{{"cascade": {a}, "node": {hop}, "t": 1, "parent": 0}}"#
         ));
-        if i % 3 == 0 {
+        if i.is_multiple_of(3) {
             lines.push(format!(
                 r#"{{"cascade": {a}, "node": 3, "t": 2, "parent": {hop}}}"#
             ));
