@@ -1,9 +1,8 @@
 //! The suppression-count ratchet.
 //!
 //! `analyze-baseline.json` (committed at the workspace root of the
-//! analyzer crate) records, per lint, how many suppressions — escape
-//! comments plus allowlist entries — are currently in effect. The
-//! ratchet only turns one way:
+//! analyzer crate) records, per lint, how many suppressions (escape
+//! comments) are currently in effect. The ratchet only turns one way:
 //!
 //! * current > baseline → **regression**: a new suppression slipped
 //!   in; fix the finding instead, or consciously regenerate the

@@ -20,10 +20,6 @@ pub fn report_json(report: &CheckReport) -> String {
     let mut findings = report.findings.clone();
     findings
         .sort_by(|a, b| (a.rel.as_str(), a.line, a.lint).cmp(&(b.rel.as_str(), b.line, b.lint)));
-    let mut unused: Vec<_> = report.unused_entries.clone();
-    unused.sort_by(|a, b| {
-        (a.lint.as_str(), a.path_prefix.as_str()).cmp(&(b.lint.as_str(), b.path_prefix.as_str()))
-    });
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"version\": 1,\n");
@@ -43,22 +39,6 @@ pub fn report_json(report: &CheckReport) -> String {
         out.push_str(&format!("\"snippet\": {}}}", escape(&f.snippet)));
     }
     out.push_str(if findings.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    out.push_str("  \"unused_allowlist\": [");
-    for (i, e) in unused.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {");
-        out.push_str(&format!("\"lint\": {}, ", escape(&e.lint)));
-        out.push_str(&format!("\"prefix\": {}, ", escape(&e.path_prefix)));
-        out.push_str(&format!(
-            "\"justification\": {}}}",
-            escape(&e.justification)
-        ));
-    }
-    out.push_str(if unused.is_empty() {
         "],\n"
     } else {
         "\n  ],\n"
@@ -138,8 +118,6 @@ mod tests {
                 message: "m".into(),
                 snippet: "s".into(),
             }],
-            suppressed: vec![],
-            unused_entries: vec![],
             files_scanned: 2,
         }
     }
@@ -166,8 +144,6 @@ mod tests {
         let report = CheckReport {
             findings: vec![],
             escaped: vec![],
-            suppressed: vec![],
-            unused_entries: vec![],
             files_scanned: 0,
         };
         let text = report_json(&report);

@@ -8,10 +8,13 @@
 //!
 //! * plain calls resolve within the defining file, then to same-crate
 //!   free functions, then through the file's `use` imports;
-//! * `Qualifier::name(..)` resolves to methods of an `impl Qualifier`
-//!   anywhere in the workspace, to free functions of the `flow_x`
-//!   crate the qualifier names, to the aliased import, or to free
-//!   functions in the same-crate module file `qualifier.rs`;
+//! * `a::b::name(..)` first expands its leading segment through the
+//!   caller's `use` imports and the `infoflow` facade's re-exports
+//!   (`infoflow::mcmc::exact` -> `flow_mcmc::exact`). Its last segment
+//!   then resolves to methods of an `impl` of that type anywhere in the
+//!   workspace, or else to free functions of the module file it names
+//!   (`b.rs`, `b/`) in the crate the path starts from (`flow_x`,
+//!   `crate`, `self`, `super`, or the caller's own crate);
 //! * `.name(..)` method calls resolve to *every* workspace method of
 //!   that name (receiver types are not tracked), which over-links but
 //!   never misses a real edge to workspace code.
@@ -28,8 +31,8 @@ use std::collections::BTreeMap;
 pub enum CallKind {
     /// `foo(..)`.
     Plain,
-    /// `Qual::foo(..)`; the qualifier is the last path segment before
-    /// the called name (`Type`, `module`, `flow_mcmc`, `Self`, ...).
+    /// `Qual::foo(..)`; the qualifier is the whole path before the
+    /// called name (`Type`, `module`, `flow_mcmc::exact`, `Self`, ...).
     Qualified(String),
     /// `.foo(..)`.
     Method,
@@ -182,17 +185,25 @@ pub fn call_sites(file: &SourceFile, body: (usize, usize)) -> Vec<CallSite> {
             let kind = if before == b'.' {
                 CallKind::Method
             } else if start >= 2 && &bytes[start - 2..start] == b"::" {
-                // Walk back over the qualifier segment.
+                // Walk back over the whole `a::b::` qualifier path.
                 let q_end = start - 2;
                 let mut q_start = q_end;
-                while q_start > 0 && is_ident_char(bytes[q_start - 1] as char) {
-                    q_start -= 1;
+                loop {
+                    let seg_end = q_start;
+                    while q_start > 0 && is_ident_char(bytes[q_start - 1] as char) {
+                        q_start -= 1;
+                    }
+                    let more = q_start > 2
+                        && &bytes[q_start - 2..q_start] == b"::"
+                        && is_ident_char(bytes[q_start - 3] as char);
+                    if q_start == seg_end || !more {
+                        break;
+                    }
+                    q_start -= 2;
                 }
                 if q_start == q_end {
                     continue;
                 }
-                // Deeper prefixes (`a::b::c(`) resolve by the last
-                // qualifier segment alone.
                 CallKind::Qualified(code[q_start..q_end].to_owned())
             } else {
                 // A plain call; uppercase-initial idents are tuple
@@ -215,6 +226,38 @@ pub fn call_sites(file: &SourceFile, body: (usize, usize)) -> Vec<CallSite> {
 /// Maps a `flow_x`-style path qualifier to the workspace crate name.
 fn crate_from_qualifier(q: &str) -> String {
     q.replace('_', "-")
+}
+
+/// The facade crate's root module and name: its `pub use flow_x as
+/// alias;` re-exports are how `examples/` and the root `tests/` call
+/// the workspace.
+const FACADE_FILE: &str = "src/lib.rs";
+const FACADE_CRATE: &str = "infoflow";
+
+/// Rewrites a leading `infoflow::alias` through the facade's
+/// re-exports (`infoflow::mcmc::exact` -> `flow_mcmc::exact`).
+fn through_facade(table: &SymbolTable, path: &str) -> String {
+    let mut segs = path.splitn(3, "::");
+    if segs.next() != Some(FACADE_CRATE) {
+        return path.to_owned();
+    }
+    let alias = segs.next().unwrap_or("");
+    match table.file(FACADE_FILE).and_then(|fs| fs.imports.get(alias)) {
+        Some(target) => match segs.next() {
+            Some(rest) => format!("{target}::{rest}"),
+            None => target.clone(),
+        },
+        None => path.to_owned(),
+    }
+}
+
+/// True when some scanned file belongs to crate `krate`.
+fn has_crate(table: &SymbolTable, krate: &str) -> bool {
+    table
+        .by_crate_free
+        .range((krate.to_owned(), String::new())..)
+        .next()
+        .is_some_and(|((k, _), _)| k == krate)
 }
 
 /// Resolves one call site to candidate callee ids.
@@ -246,56 +289,66 @@ fn resolve(table: &SymbolTable, caller: &FnSym, site: &CallSite) -> Vec<usize> {
             }
         }
         CallKind::Qualified(q) => {
-            let q = q.as_str();
-            if q == "self" || q == "crate" || q == "super" {
-                if let Some(ids) = table
-                    .by_crate_free
-                    .get(&(caller.krate.clone(), site.name.clone()))
-                {
-                    out.extend(ids.iter().copied());
-                }
-            } else if q == "Self" {
+            // Spell the path out: the caller's import of its first
+            // segment, then the facade's re-export.
+            let (first, rest) = q.split_once("::").unwrap_or((q, ""));
+            let imported = table.file(&caller.rel).and_then(|fs| fs.imports.get(first));
+            let path = match (imported, rest) {
+                (Some(full), "") => full.clone(),
+                (Some(full), rest) => format!("{full}::{rest}"),
+                (None, _) => q.clone(),
+            };
+            let path = through_facade(table, &path);
+            let segs: Vec<&str> = path.split("::").collect();
+            let last = segs.last().copied().unwrap_or("");
+            if last == "Self" {
                 if let Some(t) = &caller.impl_type {
                     if let Some(ids) = table.by_type_method.get(&(t.clone(), site.name.clone())) {
                         out.extend(ids.iter().copied());
                     }
                 }
-            } else {
-                // `Type::method(..)`.
-                if let Some(ids) = table.by_type_method.get(&(q.to_owned(), site.name.clone())) {
-                    out.extend(ids.iter().copied());
+                return out;
+            }
+            // `Type::method(..)`.
+            if let Some(ids) = table
+                .by_type_method
+                .get(&(last.to_owned(), site.name.clone()))
+            {
+                out.extend(ids.iter().copied());
+                return out;
+            }
+            // A free function: the path starts at a workspace crate
+            // (`flow_x`, `crate`, `self`, `super`) or else in the
+            // caller's crate, and its last segment after that names
+            // the module file.
+            let head = segs[0];
+            let (krate, modules, known) = match head {
+                "crate" | "self" | "super" => (caller.krate.clone(), &segs[1..], true),
+                _ if has_crate(table, &crate_from_qualifier(head)) => {
+                    (crate_from_qualifier(head), &segs[1..], true)
                 }
-                // `flow_x::free_fn(..)`.
-                if out.is_empty() {
-                    let krate = crate_from_qualifier(q);
-                    if let Some(ids) = table.by_crate_free.get(&(krate, site.name.clone())) {
+                _ => (caller.krate.clone(), &segs[..], false),
+            };
+            let Some(ids) = table.by_crate_free.get(&(krate, site.name.clone())) else {
+                return out;
+            };
+            let module = modules
+                .iter()
+                .rev()
+                .find(|m| !matches!(**m, "self" | "super"));
+            match module {
+                None => out.extend(ids.iter().copied()),
+                Some(m) => {
+                    let stem = format!("/{m}.rs");
+                    let dir = format!("/{m}/");
+                    out.extend(ids.iter().copied().filter(|&id| {
+                        table.fns[id].rel.ends_with(&stem) || table.fns[id].rel.contains(&dir)
+                    }));
+                    // A module the file layout does not show (inline
+                    // `mod`, re-export): any free function of that
+                    // name in a crate the path named.
+                    if out.is_empty() && known {
                         out.extend(ids.iter().copied());
-                    }
-                }
-                // Imported alias for a type or module.
-                if out.is_empty() {
-                    if let Some(fs) = table.file(&caller.rel) {
-                        if let Some(path) = fs.imports.get(q) {
-                            let crate_seg = path.split("::").next().unwrap_or("");
-                            let krate = crate_from_qualifier(crate_seg);
-                            if let Some(ids) = table.by_crate_free.get(&(krate, site.name.clone()))
-                            {
-                                out.extend(ids.iter().copied());
-                            }
-                        }
-                    }
-                }
-                // `module_file::free_fn(..)` within the same crate.
-                if out.is_empty() {
-                    if let Some(ids) = table
-                        .by_crate_free
-                        .get(&(caller.krate.clone(), site.name.clone()))
-                    {
-                        let stem = format!("/{q}.rs");
-                        let dir = format!("/{q}/");
-                        out.extend(ids.iter().copied().filter(|&id| {
-                            table.fns[id].rel.ends_with(&stem) || table.fns[id].rel.contains(&dir)
-                        }));
                     }
                 }
             }
@@ -315,10 +368,11 @@ fn resolve(table: &SymbolTable, caller: &FnSym, site: &CallSite) -> Vec<usize> {
 }
 
 /// Resolves an imported free function: the path's first segment names
-/// the crate, the last must equal the called name.
+/// the crate (after the facade's re-exports), the last must equal the
+/// called name.
 fn resolve_import(table: &SymbolTable, path: &str, name: &str) -> Vec<usize> {
-    let mut segs = path.split("::");
-    let crate_seg = segs.next().unwrap_or("");
+    let path = through_facade(table, path);
+    let crate_seg = path.split("::").next().unwrap_or("");
     if path.rsplit("::").next() != Some(name) {
         return Vec::new();
     }
@@ -328,6 +382,25 @@ fn resolve_import(table: &SymbolTable, path: &str, name: &str) -> Vec<usize> {
         .get(&(krate, name.to_owned()))
         .cloned()
         .unwrap_or_default()
+}
+
+/// Public library functions under `crates/` that no non-test code
+/// calls, in table order. Test code is a `#[cfg(test)]` span or any
+/// file under a `tests/` directory.
+pub fn uncalled_public(table: &SymbolTable, graph: &CallGraph) -> Vec<usize> {
+    let mut called = vec![false; table.fns.len()];
+    for f in table.fns.iter().filter(|f| !f.is_test_code()) {
+        for e in &graph.edges[f.id] {
+            called[e.callee] = true;
+        }
+    }
+    table
+        .fns
+        .iter()
+        .filter(|f| f.is_pub && f.rel.starts_with("crates/") && !f.is_test_code())
+        .filter(|f| !called[f.id])
+        .map(|f| f.id)
+        .collect()
 }
 
 #[cfg(test)]
@@ -400,6 +473,68 @@ mod tests {
         assert!(pred[id_of(&t, "new")].is_some());
         assert!(pred[id_of(&t, "helper")].is_some());
         assert!(pred[id_of(&t, "tidy")].is_some());
+    }
+
+    #[test]
+    fn module_paths_resolve_into_the_named_crate_module() {
+        let bench = scan(
+            "crates/flow-bench/src/lib.rs",
+            "pub fn fixture() { flow_graph::generate::uniform_edges(); }\n",
+        );
+        let generate = scan(
+            "crates/flow-graph/src/generate.rs",
+            "pub fn uniform_edges() {}\n",
+        );
+        let other = scan(
+            "crates/flow-graph/src/other.rs",
+            "pub fn uniform_edges() {}\n",
+        );
+        let (t, g) = graph(&[bench, generate, other]);
+        let callees: Vec<&str> = g.edges[id_of(&t, "fixture")]
+            .iter()
+            .map(|e| t.fns[e.callee].rel.as_str())
+            .collect();
+        assert_eq!(callees, ["crates/flow-graph/src/generate.rs"]);
+    }
+
+    #[test]
+    fn facade_paths_resolve_through_its_re_exports() {
+        let facade = scan("src/lib.rs", "pub use flow_icm as icm;\n");
+        let test = scan(
+            "tests/end_to_end.rs",
+            "use infoflow::icm::exact::enumerate;\n\
+             fn check() { enumerate(); infoflow::icm::exact::recurse(); }\n",
+        );
+        let exact = scan(
+            "crates/flow-icm/src/exact.rs",
+            "pub fn enumerate() {}\npub fn recurse() {}\n",
+        );
+        let (t, g) = graph(&[facade, test, exact]);
+        let pred = g.reach(&[id_of(&t, "check")]);
+        assert!(pred[id_of(&t, "enumerate")].is_some());
+        assert!(pred[id_of(&t, "recurse")].is_some());
+    }
+
+    #[test]
+    fn uncalled_public_counts_callers_from_every_root_but_not_tests() {
+        let lib = scan(
+            "crates/flow-a/src/lib.rs",
+            "pub fn for_example() {}\npub fn for_bench() {}\npub fn for_tests() {}\n\
+             pub fn for_unit_tests() {}\nfn private() {}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { super::for_unit_tests(); }\n}\n",
+        );
+        let example = scan("examples/demo.rs", "fn main() { flow_a::for_example(); }\n");
+        let bench = scan(
+            "servebench/src/main.rs",
+            "fn main() { flow_a::for_bench(); }\n",
+        );
+        let test = scan("tests/it.rs", "fn it() { flow_a::for_tests(); }\n");
+        let (t, g) = graph(&[lib, example, bench, test]);
+        let names: Vec<&str> = uncalled_public(&t, &g)
+            .into_iter()
+            .map(|id| t.fns[id].name.as_str())
+            .collect();
+        assert_eq!(names, ["for_tests", "for_unit_tests"]);
     }
 
     #[test]

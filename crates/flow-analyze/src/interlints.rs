@@ -2,13 +2,14 @@
 //!
 //! * **L7 — panic-reachability.** Any path from a serving or sampling
 //!   entry point (a `pub fn` of `flow-serve` or `flow-mcmc`, or any
-//!   `pub fn` named `serve_*`/`handle_*`/`sample_*`) into a function
-//!   whose body contains an L1 panic construct is reported with the
-//!   full call chain. The line lint L1 already rejects *unescaped*
-//!   panic sites; L7 exists because a justification that is sound for
-//!   a leaf utility ("documented panicking wrapper") is a different
-//!   claim when the serving hot path can reach it — each reachable
-//!   site must carry its own L7 justification or be made fallible.
+//!   `pub fn` under `crates/` named `serve_*`/`handle_*`/`sample_*`)
+//!   into a function whose body contains an L1 panic construct is
+//!   reported with the full call chain. The line lint L1 already
+//!   rejects *unescaped* panic sites; L7 exists because a
+//!   justification that is sound for a leaf utility ("documented
+//!   panicking wrapper") is a different claim when the serving hot
+//!   path can reach it — each reachable site must carry its own L7
+//!   justification or be made fallible.
 //! * **L8 — error-drop taint.** A call to a `Result`-returning
 //!   workspace function (or any `try_*`) whose value is discarded via
 //!   `let _ =`, a bare `;`-statement, or a trailing `.ok();` without
@@ -25,7 +26,7 @@
 //!   protects.
 //!
 //! All three honour the same `// flow-analyze: allow(Lx: why)` escape
-//! comments and allowlist machinery as the line lints.
+//! comments as the line lints.
 
 use crate::graph::{call_sites, CallGraph, CallKind, CallSite};
 use crate::lints::{in_core_scope, panic_construct_lines, Finding, SERVE_PERSISTENCE};
@@ -47,8 +48,8 @@ pub struct InterContext<'a> {
     pub all_scope: bool,
 }
 
-/// Runs L7–L9 and returns raw findings (escape comments and the
-/// allowlist are applied by the driver).
+/// Runs L7–L9 and returns raw findings (escape comments are applied
+/// by the driver).
 pub fn run(ctx: &InterContext<'_>) -> Vec<Finding> {
     let by_rel: BTreeMap<&str, &SourceFile> =
         ctx.files.iter().map(|f| (f.rel.as_str(), f)).collect();
@@ -62,9 +63,10 @@ pub fn run(ctx: &InterContext<'_>) -> Vec<Finding> {
 }
 
 /// True for the serving/sampling entry points panic-reachability
-/// starts from.
+/// starts from: library code under `crates/`, never its callers in
+/// the other graph roots.
 pub fn is_entry(f: &FnSym) -> bool {
-    if f.in_test || !f.is_pub {
+    if f.in_test || !f.is_pub || !f.rel.starts_with("crates/") {
         return false;
     }
     f.rel.starts_with("crates/flow-serve/src/")
@@ -165,7 +167,10 @@ fn resolves_to_result(table: &SymbolTable, site: &CallSite) -> bool {
     let candidates: Vec<usize> = match &site.kind {
         CallKind::Qualified(q) => table
             .by_type_method
-            .get(&(q.clone(), site.name.clone()))
+            .get(&(
+                q.rsplit("::").next().unwrap_or(q).to_owned(),
+                site.name.clone(),
+            ))
             .cloned()
             .unwrap_or_else(|| table.by_name.get(&site.name).cloned().unwrap_or_default()),
         _ => table.by_name.get(&site.name).cloned().unwrap_or_default(),

@@ -11,8 +11,7 @@
 //!   reachability from serving/sampling entry points, dropped
 //!   `Result` taint, and a concurrency audit (unjoined spawns,
 //!   `Relaxed` control-flow gates). Suppressions go through
-//!   `// flow-analyze: allow(Lx: why)` escape comments or the
-//!   budget-capped allowlist (`crates/flow-analyze/allowlist.txt`);
+//!   `// flow-analyze: allow(Lx: why)` escape comments at the site;
 //!   their per-lint counts are ratcheted by the committed
 //!   `analyze-baseline.json` ([`baseline`]) and emitted
 //!   deterministically as JSON ([`emit`]).
@@ -24,7 +23,6 @@
 //! See DESIGN.md §9 (line lints) and §13 (symbol graph + ratchet)
 //! for the full contract.
 
-pub mod allowlist;
 pub mod baseline;
 pub mod emit;
 pub mod graph;
@@ -45,92 +43,89 @@ use symbols::SymbolTable;
 /// The outcome of a `check` run.
 #[derive(Debug)]
 pub struct CheckReport {
-    /// Findings that survived escapes and the allowlist: failures.
+    /// Findings no escape comment suppresses: failures.
     pub findings: Vec<Finding>,
     /// Findings suppressed by an in-source escape comment.
     pub escaped: Vec<Finding>,
-    /// Findings suppressed by the allowlist (shown in verbose mode).
-    pub suppressed: Vec<Finding>,
-    /// Allowlist entries that matched nothing (stale debts; these
-    /// fail the check — suppression drift may not accumulate).
-    pub unused_entries: Vec<allowlist::Entry>,
     /// Files scanned.
     pub files_scanned: usize,
 }
 
 impl CheckReport {
-    /// True when the workspace passes the contract: no live findings
-    /// and no stale allowlist entries.
+    /// True when the workspace passes the contract: no live findings.
     pub fn clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_entries.is_empty()
+        self.findings.is_empty()
     }
 
     /// Per-lint counts of every suppression in effect (escape
-    /// comments + allowlist entries). This is the quantity the
-    /// baseline ratchet tracks: it may only go down.
+    /// comments). This is the quantity the baseline ratchet tracks: it
+    /// may only go down.
     pub fn suppression_counts(&self) -> BTreeMap<&'static str, usize> {
         let mut counts = BTreeMap::new();
-        for f in self.escaped.iter().chain(self.suppressed.iter()) {
+        for f in &self.escaped {
             *counts.entry(f.lint).or_insert(0) += 1;
         }
         counts
     }
 }
 
-/// Scans every `.rs` file under the workspace's `crates/` tree,
-/// applies the workspace lint policy (line lints L1–L6 and L10 per
-/// [`LintScope::for_path`], interprocedural lints L7–L9 over the
-/// whole graph) plus the allowlist at
-/// `crates/flow-analyze/allowlist.txt` (if present).
+/// The source roots the symbol graph spans: every workspace crate,
+/// the `infoflow` facade, its examples and integration tests, and the
+/// serving benchmark. Line lints cover `crates/` alone.
+const GRAPH_ROOTS: [&str; 5] = ["crates", "src", "examples", "tests", "servebench"];
+
+/// Scans every `.rs` file under `crates/`, `src/`, `examples/`,
+/// `tests/` and `servebench/`, builds the symbol table and call graph
+/// over all of them, and applies the workspace lint policy (line lints
+/// L1–L6 and L10 per [`LintScope::for_path`] on `crates/`,
+/// interprocedural lints L7–L9 over the whole graph).
 pub fn check_workspace(root: &Path) -> Result<CheckReport, String> {
-    let mut paths = Vec::new();
-    collect_rs_files(&root.join("crates"), &mut paths)
-        .map_err(|e| format!("walking {}: {e}", root.display()))?;
-    paths.sort();
-    let allowlist_path = root.join("crates/flow-analyze/allowlist.txt");
-    let entries = if allowlist_path.exists() {
-        let text = std::fs::read_to_string(&allowlist_path)
-            .map_err(|e| format!("reading {}: {e}", allowlist_path.display()))?;
-        allowlist::parse(&text).map_err(|e| e.to_string())?
-    } else {
-        Vec::new()
-    };
-    let mut files = Vec::with_capacity(paths.len());
-    for path in &paths {
-        files.push(SourceFile::read(path, root).map_err(|e| format!("{}: {e}", path.display()))?);
-    }
+    let (files, table, call_graph) = scan_workspace(root)?;
     let mut raw = Vec::new();
-    for file in &files {
+    for file in files.iter().filter(|f| f.rel.starts_with("crates/")) {
         let scope = LintScope::for_path(&file.rel);
         if scope.l1 || scope.l2 || scope.l3 || scope.l4 || scope.l5 || scope.l10 {
             raw.extend(lints::lint_file_all(file, scope));
         }
     }
-    // The symbol graph spans *every* workspace file so cross-crate
-    // reachability is complete even where line lints are off.
-    let table = SymbolTable::build(&files);
-    let call_graph = CallGraph::build(&table, &files);
     raw.extend(interlints::run(&InterContext {
         table: &table,
         graph: &call_graph,
         files: &files,
         all_scope: false,
     }));
-    let (kept, escaped) = partition_escaped(raw, &files);
-    let (findings, suppressed, unused_entries) = allowlist::apply(kept, &entries);
+    let (findings, escaped) = partition_escaped(raw, &files);
     Ok(CheckReport {
         findings,
         escaped,
-        suppressed,
-        unused_entries,
         files_scanned: files.len(),
     })
 }
 
+/// Reads every `.rs` file under the graph roots (sorted, so the
+/// result is deterministic) and builds their symbol table and call
+/// graph. The graph spans every file so cross-crate reachability and
+/// caller queries are complete even where line lints are off.
+pub fn scan_workspace(root: &Path) -> Result<(Vec<SourceFile>, SymbolTable, CallGraph), String> {
+    let mut paths = Vec::new();
+    for dir in GRAPH_ROOTS {
+        collect_rs_files(&root.join(dir), &mut paths)
+            .map_err(|e| format!("walking {}: {e}", root.display()))?;
+    }
+    paths.sort();
+    let mut files = Vec::with_capacity(paths.len());
+    for path in &paths {
+        files.push(SourceFile::read(path, root).map_err(|e| format!("{}: {e}", path.display()))?);
+    }
+    let table = SymbolTable::build(&files);
+    let call_graph = CallGraph::build(&table, &files);
+    Ok((files, table, call_graph))
+}
+
 /// Lints explicit files with *every* lint enabled — line lints and
 /// the interprocedural set over a symbol graph of just those files
-/// (used by the self-test fixtures and `check --paths`). No allowlist
-/// applies; escape comments still do.
+/// (used by the self-test fixtures and `check --paths`). Escape
+/// comments apply; no baseline does.
 pub fn check_paths(root: &Path, paths: &[PathBuf]) -> Result<Vec<Finding>, String> {
     let mut files = Vec::with_capacity(paths.len());
     for path in paths {

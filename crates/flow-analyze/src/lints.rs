@@ -31,7 +31,7 @@
 //!   `crates/flow-core/src/schema.rs` may spell the names out.
 //!
 //! Each lint honours the `// flow-analyze: allow(Lx: reason)` escape
-//! comment and the allowlist file (see [`crate::allowlist`]).
+//! comment.
 
 use crate::source::SourceFile;
 
@@ -68,7 +68,7 @@ pub fn in_core_scope(rel: &str) -> bool {
     CORE.iter().any(|p| rel.starts_with(p))
 }
 
-/// One lint hit, pre-allowlist.
+/// One lint hit, before escape comments apply.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// Lint id: "L1".."L6".
@@ -169,15 +169,6 @@ impl LintScope {
             l10: rel.contains("/src/") && rel != "crates/flow-core/src/schema.rs",
         }
     }
-}
-
-/// Runs every applicable lint over one file, honouring escape comments
-/// (allowlist matching happens later, in the driver).
-pub fn lint_file(file: &SourceFile, scope: LintScope) -> Vec<Finding> {
-    lint_file_all(file, scope)
-        .into_iter()
-        .filter(|f| !file.is_allowed(f.line, f.lint))
-        .collect()
 }
 
 /// Runs every applicable lint over one file *without* dropping
@@ -870,7 +861,10 @@ mod tests {
 
     fn lint(text: &str) -> Vec<Finding> {
         let f = SourceFile::from_text(PathBuf::from("x.rs"), "x.rs".into(), text);
-        lint_file(&f, LintScope::all())
+        lint_file_all(&f, LintScope::all())
+            .into_iter()
+            .filter(|hit| !f.is_allowed(hit.line, hit.lint))
+            .collect()
     }
 
     fn lints_of(text: &str) -> Vec<&'static str> {

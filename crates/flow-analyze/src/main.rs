@@ -2,13 +2,16 @@
 //!
 //! Exit codes follow the `repro serve` contract:
 //!   0 — clean (no findings, ratchet holds)
-//!   1 — contract violation (lint findings, stale allowlist entries,
-//!       baseline ratchet failure, replay divergence) or an
+//!   1 — contract violation (lint findings, baseline ratchet
+//!       failure, replay divergence) or an
 //!       infrastructure error while running the analysis
 //!   2 — usage error (bad flags, unknown subcommand, no subcommand)
 
+use flow_analyze::graph::uncalled_public;
 use flow_analyze::replay::{run_replay, ReplayConfig};
-use flow_analyze::{baseline, check_paths, check_workspace, emit, find_workspace_root};
+use flow_analyze::{
+    baseline, check_paths, check_workspace, emit, find_workspace_root, scan_workspace,
+};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -19,22 +22,27 @@ USAGE:
     flow-analyze check [--root DIR] [--verbose] [--format text|json]
                        [--baseline FILE] [--write-baseline FILE]
                        [--paths FILE..]
+    flow-analyze uncalled [--root DIR]
     flow-analyze replay [--seed N] [--chains N] [--samples N]
                         [--nodes N] [--edges N]
 
-check   runs the line lints L1-L6 + L10 and the interprocedural lints
-        L7-L9 (panic reachability, error-drop taint, concurrency
-        audit) over the core crates, honouring
-        crates/flow-analyze/allowlist.txt and
+check   runs the line lints L1-L6 + L10 over crates/ and the
+        interprocedural lints L7-L9 (panic reachability, error-drop
+        taint, concurrency audit) over a call graph of crates/, src/,
+        examples/, tests/ and servebench/, honouring
         `// flow-analyze: allow(Lx: why)` escape comments.
-        Stale allowlist entries fail the run.
         --format json emits a deterministic report on stdout.
         --baseline diffs suppression counts against FILE (defaults
         to crates/flow-analyze/analyze-baseline.json when present);
         counts may only move down. --write-baseline regenerates FILE
         from the current counts instead of diffing.
         With --paths, lints exactly the given files with every lint
-        enabled and no allowlist or baseline (self-test mode).
+        enabled and no baseline (self-test mode).
+uncalled
+        lists every public function under crates/ that no non-test
+        code calls, over the call graph of crates/, src/, examples/,
+        tests/ and servebench/. Test code is #[cfg(test)] spans and
+        files under tests/ directories. A report, not a gate.
 replay  runs the parallel multi-chain estimator twice with one
         seed and diffs the trajectories step-by-step; any
         divergence is a determinism bug.
@@ -47,6 +55,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => cmd_check(&args[1..]),
+        Some("uncalled") => cmd_uncalled(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("--help") | Some("-h") => {
             print!("{USAGE}");
@@ -163,9 +172,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         for failure in &ratchet_failures {
             eprintln!("ratchet: {failure}");
         }
-        return exit_findings(
-            report.findings.len() + report.unused_entries.len() + ratchet_failures.len(),
-        );
+        return exit_findings(report.findings.len() + ratchet_failures.len());
     }
 
     for f in &report.findings {
@@ -175,27 +182,44 @@ fn cmd_check(args: &[String]) -> ExitCode {
         for f in &report.escaped {
             println!("(escaped) {f}");
         }
-        for f in &report.suppressed {
-            println!("(allowlisted) {f}");
-        }
-    }
-    for e in &report.unused_entries {
-        println!(
-            "error: allowlist entry is stale (matched nothing): line {}: {} {} -- {}",
-            e.line, e.lint, e.path_prefix, e.justification
-        );
     }
     for failure in &ratchet_failures {
         println!("error: ratchet: {failure}");
     }
     println!(
-        "flow-analyze check: {} file(s) scanned, {} finding(s), {} escaped, {} allowlisted",
+        "flow-analyze check: {} file(s) scanned, {} finding(s), {} escaped",
         report.files_scanned,
         report.findings.len(),
-        report.escaped.len(),
-        report.suppressed.len()
+        report.escaped.len()
     );
-    exit_findings(report.findings.len() + report.unused_entries.len() + ratchet_failures.len())
+    exit_findings(report.findings.len() + ratchet_failures.len())
+}
+
+fn cmd_uncalled(args: &[String]) -> ExitCode {
+    let root = match args {
+        [] => std::env::current_dir()
+            .ok()
+            .and_then(|d| find_workspace_root(&d)),
+        [flag, dir] if flag == "--root" => Some(PathBuf::from(dir)),
+        _ => return usage_error("uncalled takes only --root DIR"),
+    };
+    let Some(root) = root else {
+        return usage_error("could not locate the workspace root; pass --root");
+    };
+    let (_, table, graph) = match scan_workspace(&root) {
+        Ok(scan) => scan,
+        Err(e) => return infra_error(&e),
+    };
+    let uncalled = uncalled_public(&table, &graph);
+    for &id in &uncalled {
+        let f = &table.fns[id];
+        println!("{}:{} {}", f.rel, f.line, f.qualified());
+    }
+    println!(
+        "flow-analyze uncalled: {} public function(s) with no non-test caller",
+        uncalled.len()
+    );
+    ExitCode::SUCCESS
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {

@@ -32,7 +32,7 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Reads and scans one file. `root` anchors the relative path used
-    /// in findings and allowlist matching.
+    /// in findings.
     pub fn read(path: &Path, root: &Path) -> std::io::Result<SourceFile> {
         let text = std::fs::read_to_string(path)?;
         let rel = path

@@ -53,6 +53,12 @@ impl FnSym {
             None => self.name.clone(),
         }
     }
+
+    /// Test code: inside a `#[cfg(test)]` span or in a file under a
+    /// `tests/` directory (integration tests and their helpers).
+    pub fn is_test_code(&self) -> bool {
+        self.in_test || self.rel.starts_with("tests/") || self.rel.contains("/tests/")
+    }
 }
 
 /// Per-file symbol info: which functions it defines and what it
@@ -467,6 +473,14 @@ fn collect_one(prefix: &str, item: &str, out: &mut BTreeMap<String, String>) {
         collect_imports(&joined, out);
         return;
     }
+    // `a::b::{self, ..}` imports the module `b` itself.
+    if item == "self" {
+        let module = prefix.rsplit("::").next().unwrap_or(prefix);
+        if !module.is_empty() {
+            out.insert(module.to_owned(), prefix.to_owned());
+        }
+        return;
+    }
     let (path_part, alias) = match item.split_once(" as ") {
         Some((p, a)) => (p.trim(), a.trim().to_owned()),
         None => {
@@ -475,7 +489,7 @@ fn collect_one(prefix: &str, item: &str, out: &mut BTreeMap<String, String>) {
             (p, last)
         }
     };
-    if alias.is_empty() || alias == "self" {
+    if alias.is_empty() {
         return;
     }
     let full = if prefix.is_empty() {
@@ -548,6 +562,7 @@ mod tests {
         let t = table(
             "use flow_icm::Icm;\n\
              use flow_mcmc::{McmcConfig, sampler::step_once as step1};\n\
+             use flow_core::fault::{self, FaultSpec};\n\
              use std::collections::BTreeMap;\n",
         );
         let im = &t.files[0].imports;
@@ -555,6 +570,8 @@ mod tests {
         assert_eq!(im["McmcConfig"], "flow_mcmc::McmcConfig");
         assert_eq!(im["step1"], "flow_mcmc::sampler::step_once");
         assert_eq!(im["BTreeMap"], "std::collections::BTreeMap");
+        assert_eq!(im["fault"], "flow_core::fault");
+        assert_eq!(im["FaultSpec"], "flow_core::fault::FaultSpec");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Self-test: the lint engine must fire on each seeded fixture, stay
-//! quiet on the remediated fixture, and pass the real workspace with a
-//! within-budget allowlist. Also drives the compiled binary end-to-end
-//! to pin the exit-code contract.
+//! quiet on the remediated fixture, and pass the real workspace. Also
+//! drives the compiled binary end-to-end to pin the exit-code contract.
 
-use flow_analyze::{allowlist, check_paths, check_workspace, find_workspace_root};
+use flow_analyze::{check_paths, check_workspace, find_workspace_root};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -144,24 +143,6 @@ fn workspace_passes_the_contract() {
         "scan saw only {} files",
         report.files_scanned
     );
-    assert!(
-        report.unused_entries.is_empty(),
-        "stale allowlist entries: {:#?}",
-        report.unused_entries
-    );
-}
-
-#[test]
-fn allowlist_stays_within_budget() {
-    let path = workspace_root().join("crates/flow-analyze/allowlist.txt");
-    let text = std::fs::read_to_string(&path).expect("allowlist.txt exists");
-    let entries = allowlist::parse(&text).expect("allowlist parses");
-    assert!(
-        entries.len() <= allowlist::MAX_ENTRIES,
-        "{} entries over budget {}",
-        entries.len(),
-        allowlist::MAX_ENTRIES
-    );
 }
 
 #[test]
@@ -279,37 +260,4 @@ fn committed_baseline_matches_current_suppression_counts() {
     let counts = report.suppression_counts();
     let failures = flow_analyze::baseline::compare(&counts, &base);
     assert!(failures.is_empty(), "ratchet violations: {failures:#?}");
-}
-
-#[test]
-fn stale_allowlist_entry_fails_the_check() {
-    let bin = env!("CARGO_BIN_EXE_flow-analyze");
-    let tmp = std::env::temp_dir().join(format!("flow-analyze-stale-{}", std::process::id()));
-    let crate_src = tmp.join("crates/flow-stats/src");
-    let analyze_dir = tmp.join("crates/flow-analyze");
-    std::fs::create_dir_all(&crate_src).expect("mkdir");
-    std::fs::create_dir_all(&analyze_dir).expect("mkdir");
-    std::fs::write(tmp.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
-    std::fs::write(crate_src.join("lib.rs"), "pub fn noop() {}\n").expect("write source");
-    std::fs::write(
-        analyze_dir.join("allowlist.txt"),
-        "L1 crates/flow-stats/src/gone.rs -- this file no longer exists\n",
-    )
-    .expect("write allowlist");
-    let out = Command::new(bin)
-        .args(["check", "--root"])
-        .arg(&tmp)
-        .output()
-        .expect("spawn flow-analyze");
-    let _ = std::fs::remove_dir_all(&tmp);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "stale allowlist entries must fail; stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("stale"),
-        "stale entry must be reported as an error"
-    );
 }

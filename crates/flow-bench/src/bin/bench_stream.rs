@@ -16,7 +16,8 @@
 //!   every epoch, the cold-start path a restarted server pays: the
 //!   newest snapshot plus the log records it replays. The reported
 //!   recovery is the one that replayed the most records, with its
-//!   count;
+//!   count: the median of `RECOVERY_TIMINGS` loads of that same store,
+//!   so one cold read does not decide the figure;
 //! * **swap** — `ModelRegistry::swap_into` a warm `ServeEngine`,
 //!   counting the stale cache entries reclaimed.
 //!
@@ -48,6 +49,8 @@ const CASCADES: u64 = 1_500;
 const EPOCHS: usize = 6;
 /// Retained samples per chain for the warm-cache serve batch.
 const SAMPLES: usize = 1_200;
+/// Loads timed per worst-case store; their median is reported.
+const RECOVERY_TIMINGS: usize = 7;
 /// Ingest floor: below this the streaming path has regressed badly.
 const MIN_EVENTS_PER_SEC: f64 = 20_000.0;
 
@@ -223,7 +226,16 @@ fn main() {
             && model.state_fingerprint() == live.state_fingerprint()
             && model.serve_fingerprint() == live.serve_fingerprint();
         if recovered.replayed >= replayed {
-            (recover_ms, replayed) = (ms, recovered.replayed);
+            // The worst case so far: time the same store again.
+            let mut times = vec![ms];
+            while times.len() < RECOVERY_TIMINGS {
+                let start = Instant::now();
+                let again = SnapshotStore::new(dir.clone()).load_latest();
+                times.push(start.elapsed().as_secs_f64() * 1_000.0);
+                recovered_ok &= matches!(again, Ok(Some(_)));
+            }
+            times.sort_by(f64::total_cmp);
+            (recover_ms, replayed) = (times[RECOVERY_TIMINGS / 2], recovered.replayed);
         }
     }
     let seal_mean_ms = seal_s * 1_000.0 / EPOCHS as f64;

@@ -5,8 +5,6 @@
 //! * [`FlowError`] — the typed error taxonomy. Boundary paths
 //!   (constructors, ingest, estimators) return `Result<_, FlowError>`
 //!   instead of panicking; hot loops keep `debug_assert!`.
-//! * Numerical guards ([`check_probability`], [`check_weight`]) that
-//!   turn bad floats into typed errors at the edges.
 //! * The fault-injection harness ([`fault`]) behind the
 //!   `fault-inject` cargo feature, used by the robustness test suite
 //!   to prove that injected faults surface as typed errors or flagged
@@ -51,61 +49,4 @@ macro_rules! debug_invariant {
     ($cond:expr) => {
         $crate::debug_invariant!($cond, "{}", stringify!($cond));
     };
-}
-
-/// Validates that `p` is a probability in `[0, 1]`.
-///
-/// `what` names the parameter in the error (e.g. `"edge probability"`).
-pub fn check_probability(p: f64, what: &'static str) -> FlowResult<f64> {
-    if p.is_finite() && (0.0..=1.0).contains(&p) {
-        Ok(p)
-    } else {
-        Err(FlowError::InvalidProbability { what, value: p })
-    }
-}
-
-/// Validates that `w` is a finite, non-negative weight.
-pub fn check_weight(w: f64, index: usize) -> FlowResult<f64> {
-    if w.is_finite() && w >= 0.0 {
-        Ok(w)
-    } else {
-        Err(FlowError::NonFiniteWeight { index, value: w })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn probability_guard_accepts_unit_interval() {
-        assert_eq!(check_probability(0.0, "p").unwrap(), 0.0);
-        assert_eq!(check_probability(1.0, "p").unwrap(), 1.0);
-        assert_eq!(check_probability(0.5, "p").unwrap(), 0.5);
-    }
-
-    #[test]
-    fn probability_guard_rejects_bad_values() {
-        for bad in [-0.1, 1.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = check_probability(bad, "edge probability").unwrap_err();
-            match err {
-                FlowError::InvalidProbability { what, .. } => {
-                    assert_eq!(what, "edge probability")
-                }
-                other => panic!("wrong variant: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn weight_guard_rejects_negative_and_nonfinite() {
-        assert!(check_weight(2.5, 0).is_ok());
-        assert!(check_weight(0.0, 0).is_ok());
-        for bad in [-1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                check_weight(bad, 7),
-                Err(FlowError::NonFiniteWeight { index: 7, .. })
-            ));
-        }
-    }
 }

@@ -16,8 +16,6 @@
 //! * **tags** (`"flow-obs/stats-v1"`) — the `"schema"` field of a JSON
 //!   document, rendered by [`SchemaId::tag`].
 
-use crate::{FlowError, FlowResult};
-
 /// A named, versioned persisted-format identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchemaId {
@@ -48,13 +46,6 @@ impl SchemaId {
         parse_header(line)
             .is_some_and(|(name, version)| name == self.name && version == self.version)
     }
-
-    /// True when `tag` is exactly this schema's JSON tag.
-    pub fn matches_tag(&self, tag: &str) -> bool {
-        tag.rsplit_once("-v")
-            .and_then(|(name, v)| v.parse::<u32>().ok().map(|v| (name, v)))
-            .is_some_and(|(name, version)| name == self.name && version == self.version)
-    }
 }
 
 /// Splits a `"<name> v<version>"` header line into its parts. Returns
@@ -66,24 +57,6 @@ pub fn parse_header(line: &str) -> Option<(&str, u32)> {
         return None;
     }
     Some((name, version))
-}
-
-/// Checks that `line` carries `expected`'s header, with a typed
-/// [`FlowError::Parse`] naming both sides on mismatch. `line_no` is the
-/// 1-based position of the header line in the artifact.
-pub fn expect_header(line: &str, line_no: usize, expected: SchemaId) -> FlowResult<()> {
-    if expected.matches_line(line) {
-        Ok(())
-    } else {
-        Err(FlowError::Parse {
-            line: line_no,
-            detail: format!(
-                "unsupported schema header {:?} (expected {:?})",
-                line.trim_end(),
-                expected.line_header()
-            ),
-        })
-    }
 }
 
 /// The flow-serve on-disk chain-statistics cache (`cache.flowserve`).
@@ -140,15 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_round_trips() {
-        let t = OBS_STATS.tag();
-        assert_eq!(t, "flow-obs/stats-v1");
-        assert!(OBS_STATS.matches_tag(&t));
-        assert!(!OBS_STATS.matches_tag("flow-obs/stats-v2"));
-        assert!(!PERF_RUN.matches_tag(&t));
-    }
-
-    #[test]
     fn parse_header_rejects_malformed_lines() {
         assert_eq!(parse_header("no version here"), None);
         assert_eq!(parse_header("name v"), None);
@@ -158,25 +122,13 @@ mod tests {
     }
 
     #[test]
-    fn expect_header_reports_both_sides() {
-        assert!(expect_header("flowstream-snapshot v3", 1, STREAM_SNAPSHOT).is_ok());
-        let err = expect_header("flowstream-snapshot v9", 1, STREAM_SNAPSHOT).unwrap_err();
-        match err {
-            FlowError::Parse { line, detail } => {
-                assert_eq!(line, 1);
-                assert!(detail.contains("v9") && detail.contains("flowstream-snapshot v3"));
-            }
-            other => panic!("expected Parse, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn versions_match_their_documented_tags() {
         // The L10 lint exempts only this module; these assertions keep
         // the constant table honest against accidental renames.
         assert_eq!(STREAM_SNAPSHOT.line_header(), "flowstream-snapshot v3");
         assert_eq!(STREAM_LOG.line_header(), "flowstream-log v1");
         assert_eq!(EXP_CHECKPOINT.line_header(), "flowexp-checkpoint v1");
+        assert_eq!(OBS_STATS.tag(), "flow-obs/stats-v1");
         assert_eq!(PERF_BASELINE.tag(), "flow-perf/baseline-v1");
         assert_eq!(PERF_RUN.tag(), "flow-perf/run-v1");
         assert_eq!(BENCH_SERVE.tag(), "flow-bench/serve-v3");

@@ -92,10 +92,9 @@ impl BucketReport {
             .map(|j| {
                 let lo = j as f64 / b as f64;
                 let hi = (j + 1) as f64 / b as f64;
-                // Paper: α_j = 1 + Σz, β_j = |bin| − α_j + 2.
-                let alpha = 1.0 + positives[j] as f64;
-                let beta = count[j] as f64 - alpha + 2.0;
-                let empirical = Beta::new(alpha, beta);
+                // Paper: α_j = 1 + Σz, β_j = |bin| − α_j + 2, the
+                // counting rule on the bin's outcomes.
+                let empirical = Beta::from_counts(positives[j], count[j] - positives[j]);
                 let ci = empirical.confidence_interval(config.confidence);
                 let mean_estimate = if count[j] == 0 {
                     0.5 * (lo + hi)

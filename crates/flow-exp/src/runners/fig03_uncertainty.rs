@@ -83,7 +83,7 @@ pub fn run_fig3(cfg: &ExpConfig, out: &Output) -> std::io::Result<Vec<Uncertaint
     let cases = select_cases(&ctx, 2);
     let mut results = Vec::new();
     for (source, sink, n, k) in cases {
-        let empirical = Beta::new(1.0 + k as f64, 1.0 + (n - k) as f64);
+        let empirical = Beta::from_counts(k, n - k);
         // Nested sampling on the radius-2 ego model around the source.
         let ego = ego_subgraph(&ctx.corpus.graph, source, 2, EgoDirection::Out);
         let Some(local_sink) = ego.local_node(sink) else {

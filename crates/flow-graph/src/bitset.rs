@@ -33,16 +33,6 @@ impl BitSet {
         }
     }
 
-    /// Creates a bitset with all `len` bits set.
-    pub fn full(len: usize) -> Self {
-        let mut s = Self::new(len);
-        for w in &mut s.words {
-            *w = u64::MAX;
-        }
-        s.mask_tail();
-        s
-    }
-
     /// Builds a bitset from an iterator of set indices.
     pub fn from_indices<I: IntoIterator<Item = usize>>(len: usize, indices: I) -> Self {
         let mut s = Self::new(len);
@@ -129,28 +119,11 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// True if `self` is a subset of `other` (requires equal capacity).
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len, "capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// In-place union with `other` (requires equal capacity).
     pub fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.len, other.len, "capacity mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
-        }
-    }
-
-    /// In-place intersection with `other` (requires equal capacity).
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
         }
     }
 
@@ -268,7 +241,7 @@ mod tests {
 
     #[test]
     fn assign_from_overwrites_every_bit_and_keeps_the_tail_clear() {
-        let mut s = BitSet::full(130);
+        let mut s = BitSet::from_indices(130, 0..130);
         s.assign_from((0..200).map(|i| i % 3 == 0));
         assert_eq!(
             s,
@@ -280,16 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn full_masks_tail() {
-        let s = BitSet::full(70);
-        assert_eq!(s.count_ones(), 70);
-        let t = BitSet::full(64);
-        assert_eq!(t.count_ones(), 64);
-        let e = BitSet::full(0);
-        assert_eq!(e.count_ones(), 0);
-    }
-
-    #[test]
     fn iter_ones_ascending() {
         let s = BitSet::from_indices(200, [5, 0, 199, 64, 63, 128]);
         let got: Vec<usize> = s.iter_ones().collect();
@@ -297,17 +260,12 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_union() {
+    fn union_with_merges_bits() {
         let a = BitSet::from_indices(80, [1, 2, 70]);
         let b = BitSet::from_indices(80, [1, 2, 3, 70]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
         let mut c = a.clone();
         c.union_with(&b);
         assert_eq!(c, b);
-        let mut d = b.clone();
-        d.intersect_with(&a);
-        assert_eq!(d, a);
     }
 
     #[test]
@@ -332,7 +290,7 @@ mod tests {
 
     #[test]
     fn clear_resets() {
-        let mut s = BitSet::full(129);
+        let mut s = BitSet::from_indices(129, 0..129);
         s.clear();
         assert!(s.none());
         assert_eq!(s.len(), 129);

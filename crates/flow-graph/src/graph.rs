@@ -160,11 +160,6 @@ impl DiGraph {
         self.out_edges(v).iter().map(|&e| self.dst(e))
     }
 
-    /// Predecessor nodes of `v` (one per in-edge).
-    pub fn predecessors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(v).iter().map(|&e| self.src(e))
-    }
-
     /// Looks up the edge from `u` to `v`, if present.
     ///
     /// Linear in `out_degree(u)`; fine for the degrees this workspace
@@ -426,8 +421,6 @@ mod tests {
         assert_eq!(g.in_degree(NodeId(2)), 2);
         let succ0: Vec<NodeId> = g.successors(NodeId(0)).collect();
         assert!(succ0.contains(&NodeId(1)) && succ0.contains(&NodeId(2)));
-        let pred2: Vec<NodeId> = g.predecessors(NodeId(2)).collect();
-        assert!(pred2.contains(&NodeId(0)) && pred2.contains(&NodeId(1)));
     }
 
     #[test]

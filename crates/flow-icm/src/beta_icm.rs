@@ -240,7 +240,8 @@ mod tests {
         let r =
             AttributedRecord::from_lists(&g, vec![NodeId(0)], &[NodeId(1), NodeId(3)], &[e01, e13]);
         assert_eq!(r.validate(&g), Ok(()));
-        let ev = AttributedEvidence::from_records(vec![r]);
+        let mut ev = AttributedEvidence::new();
+        ev.push(r);
         let model = BetaIcm::train(g, &ev);
         // e01 fired: alpha 2, beta 1.
         assert_eq!(model.edge_beta(e01), Beta::new(2.0, 1.0));
@@ -363,19 +364,18 @@ mod tests {
         let g = diamond();
         let icm = Icm::with_uniform_probability(g.clone(), 0.5);
         let mut rng = StdRng::seed_from_u64(71);
-        let records: Vec<AttributedRecord> = (0..200)
-            .map(|_| {
-                AttributedRecord::from_active_state(&simulate_cascade(&icm, &[NodeId(0)], &mut rng))
-            })
-            .collect();
-        let batch = BetaIcm::train(
-            g.clone(),
-            &AttributedEvidence::from_records(records.clone()),
-        );
+        let mut evidence = AttributedEvidence::new();
         let mut online = BetaIcm::uniform_prior(g.clone());
-        for r in &records {
-            online.absorb(r);
+        for _ in 0..200 {
+            let r = AttributedRecord::from_active_state(&simulate_cascade(
+                &icm,
+                &[NodeId(0)],
+                &mut rng,
+            ));
+            online.absorb(&r);
+            evidence.push(r);
         }
+        let batch = BetaIcm::train(g.clone(), &evidence);
         for e in g.edges() {
             assert_eq!(batch.edge_beta(e), online.edge_beta(e), "edge {e}");
         }

@@ -172,11 +172,6 @@ impl AttributedEvidence {
         AttributedEvidence::default()
     }
 
-    /// Builds from a vector of records.
-    pub fn from_records(records: Vec<AttributedRecord>) -> Self {
-        AttributedEvidence { records }
-    }
-
     /// Adds one record.
     pub fn push(&mut self, record: AttributedRecord) {
         self.records.push(record);
@@ -278,7 +273,9 @@ mod tests {
         let g = diamond();
         let good = AttributedRecord::from_lists(&g, vec![NodeId(0)], &[], &[]);
         let bad = AttributedRecord::from_lists(&g, vec![NodeId(0)], &[NodeId(3)], &[]);
-        let ev = AttributedEvidence::from_records(vec![good, bad]);
+        let mut ev = AttributedEvidence::new();
+        ev.push(good);
+        ev.push(bad);
         assert_eq!(ev.len(), 2);
         let err = ev.validate(&g).unwrap_err();
         assert_eq!(err.0, 1);

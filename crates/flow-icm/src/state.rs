@@ -30,13 +30,6 @@ impl PseudoState {
         }
     }
 
-    /// All-active pseudo-state.
-    pub fn all_active(edge_count: usize) -> Self {
-        PseudoState {
-            bits: BitSet::full(edge_count),
-        }
-    }
-
     /// Builds from an explicit bitset (one bit per edge).
     pub fn from_bits(bits: BitSet) -> Self {
         PseudoState { bits }
@@ -86,11 +79,6 @@ impl PseudoState {
     /// Flips edge `e`, returning its new activity.
     pub fn flip(&mut self, e: EdgeId) -> bool {
         self.bits.flip(e.index())
-    }
-
-    /// Number of active edges.
-    pub fn active_count(&self) -> usize {
-        self.bits.count_ones()
     }
 
     /// The underlying bitset.
@@ -178,17 +166,6 @@ pub struct ActiveState {
 }
 
 impl ActiveState {
-    /// Builds an active state from explicit member sets. Callers must
-    /// guarantee consistency; use [`PseudoState::derive_active_state`]
-    /// or [`simulate_cascade`] where possible.
-    pub fn from_parts(sources: BitSet, active_nodes: BitSet, active_edges: BitSet) -> Self {
-        ActiveState {
-            sources,
-            active_nodes,
-            active_edges,
-        }
-    }
-
     /// True iff `v` is a source (`v ∈ Vi⊕`).
     pub fn is_source(&self, v: NodeId) -> bool {
         self.sources.get(v.index())
@@ -302,7 +279,7 @@ mod tests {
         assert!((x.probability(&icm) - 0.7f64.powi(4)).abs() < 1e-12);
         x.set(EdgeId(0), true);
         assert!((x.probability(&icm) - 0.3 * 0.7f64.powi(3)).abs() < 1e-12);
-        let full = PseudoState::all_active(4);
+        let full = PseudoState::from_bits(BitSet::from_indices(4, 0..4));
         assert!((full.probability(&icm) - 0.3f64.powi(4)).abs() < 1e-12);
     }
 
@@ -410,7 +387,8 @@ mod tests {
         let icm = Icm::new(g, probs);
         let mut a = StdRng::seed_from_u64(41);
         let mut b = StdRng::seed_from_u64(41);
-        let mut x = PseudoState::all_active(icm.edge_count());
+        let mut x =
+            PseudoState::from_bits(BitSet::from_indices(icm.edge_count(), 0..icm.edge_count()));
         for _ in 0..5 {
             let want = PseudoState::sample(&icm, &mut a);
             x.resample(&icm, &mut b);
@@ -418,7 +396,7 @@ mod tests {
             assert_eq!(a.state(), b.state());
         }
         // A state sized for another model is resized, then redrawn.
-        let mut small = PseudoState::all_active(3);
+        let mut small = PseudoState::from_bits(BitSet::from_indices(3, 0..3));
         small.resample(&icm, &mut b);
         assert_eq!(small, PseudoState::sample(&icm, &mut a));
     }
@@ -439,8 +417,8 @@ mod tests {
         let mut x = PseudoState::all_inactive(3);
         assert!(x.flip(EdgeId(1)));
         assert!(x.is_active(EdgeId(1)));
-        assert_eq!(x.active_count(), 1);
+        assert_eq!(x.bits().count_ones(), 1);
         assert!(!x.flip(EdgeId(1)));
-        assert_eq!(x.active_count(), 0);
+        assert_eq!(x.bits().count_ones(), 0);
     }
 }

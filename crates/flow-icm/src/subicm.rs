@@ -17,12 +17,10 @@ use crate::{model_fingerprint, Icm};
 use flow_core::{FlowError, FlowResult};
 use flow_graph::{EdgeId, GraphBuilder};
 
-/// An ICM projected onto a subset of its parent's edges, with the
-/// parent-edge mapping needed to translate per-edge results back.
+/// An ICM projected onto a subset of its parent's edges.
 #[derive(Clone, Debug)]
 pub struct SubIcm {
     icm: Icm,
-    original_edges: Vec<EdgeId>,
     fingerprint: u64,
 }
 
@@ -61,11 +59,7 @@ impl SubIcm {
         }
         let icm = Icm::try_new(builder.build(), probs)?;
         let fingerprint = model_fingerprint(&icm);
-        Ok(SubIcm {
-            icm,
-            original_edges: edges.to_vec(),
-            fingerprint,
-        })
+        Ok(SubIcm { icm, fingerprint })
     }
 
     /// The projected model (same node-id space as the parent).
@@ -74,22 +68,10 @@ impl SubIcm {
         &self.icm
     }
 
-    /// Parent edge ids, indexed by sub-model edge index.
-    #[inline]
-    pub fn original_edges(&self) -> &[EdgeId] {
-        &self.original_edges
-    }
-
-    /// The parent edge a sub-model edge maps back to.
-    #[inline]
-    pub fn original_of(&self, sub_edge: EdgeId) -> EdgeId {
-        self.original_edges[sub_edge.index()]
-    }
-
     /// Number of edges in the sub-model (`m_shard`).
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.original_edges.len()
+        self.icm.edge_count()
     }
 
     /// Fingerprint of the projected model — what per-shard cache
@@ -119,8 +101,6 @@ mod tests {
         assert_eq!(sub.icm().node_count(), 5);
         assert_eq!(sub.edge_count(), 3);
         assert_eq!(sub.icm().probabilities(), &[0.2, 0.4, 0.5]);
-        assert_eq!(sub.original_of(EdgeId(0)), EdgeId(1));
-        assert_eq!(sub.original_of(EdgeId(2)), EdgeId(4));
         // Endpoints survive untranslated.
         let g = sub.icm().graph();
         assert_eq!(g.endpoints(EdgeId(0)), (NodeId(0), NodeId(2)));

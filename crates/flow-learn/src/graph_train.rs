@@ -13,7 +13,7 @@ use crate::joint_bayes::{JointBayes, JointBayesConfig};
 use crate::saito::{saito_em, SaitoConfig};
 use crate::summary::{filtered_betas, Episode, SinkSummary, SinkTables, TimingAssumption};
 use flow_graph::{DiGraph, EdgeId};
-use flow_icm::{BetaIcm, Icm};
+use flow_icm::Icm;
 use flow_stats::{Beta, Normal};
 use rand::Rng;
 
@@ -45,23 +45,6 @@ impl LearnedEdges {
     /// Converts to a point-probability ICM using the means.
     pub fn to_icm(&self, graph: &DiGraph) -> Icm {
         Icm::new(graph.clone(), self.mean.clone())
-    }
-
-    /// Converts to a betaICM by per-edge moment matching (clamping
-    /// degenerate variances to a tight-but-proper Beta).
-    pub fn to_beta_icm(&self, graph: &DiGraph) -> BetaIcm {
-        let params = self
-            .mean
-            .iter()
-            .zip(&self.sd)
-            .map(|(&m, &sd)| {
-                let m = m.clamp(1e-6, 1.0 - 1e-6);
-                let var = (sd * sd).clamp(1e-9, m * (1.0 - m) * 0.999);
-                let k = m * (1.0 - m) / var - 1.0;
-                Beta::new((m * k).max(1e-6), ((1.0 - m) * k).max(1e-6))
-            })
-            .collect();
-        BetaIcm::new(graph.clone(), params)
     }
 
     /// Per-edge Gaussian approximations (the Fig. 10 experiment samples
@@ -245,10 +228,6 @@ mod tests {
         };
         let icm = learned.to_icm(&g);
         assert!((icm.probability(EdgeId(0)) - 0.6).abs() < 1e-12);
-        let beta_icm = learned.to_beta_icm(&g);
-        let b = beta_icm.edge_beta(EdgeId(0));
-        assert!((b.mean() - 0.6).abs() < 1e-6);
-        assert!((b.std_dev() - 0.1).abs() < 0.01);
         let mut rng = StdRng::seed_from_u64(57);
         let sampled = learned.sample_gaussian_icm(&g, &mut rng);
         let p = sampled.probability(EdgeId(0));

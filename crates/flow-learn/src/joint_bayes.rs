@@ -22,7 +22,7 @@
 use crate::summary::SinkSummary;
 use flow_stats::dist::sample_standard_normal;
 use flow_stats::specfn::ln_choose;
-use flow_stats::{Beta, OnlineStats};
+use flow_stats::OnlineStats;
 use rand::Rng;
 
 /// Joint-Bayes sampler configuration.
@@ -286,27 +286,6 @@ fn row_ln_likelihood(summary: &SinkSummary, i: usize, probs: &[f64]) -> f64 {
     acc
 }
 
-/// Convenience: posterior means as Beta distributions by moment
-/// matching, clamped to valid parameters. Used when a downstream
-/// consumer (e.g. a betaICM) wants per-edge Betas from the joint
-/// posterior.
-pub fn moment_matched_betas(posterior: &EdgePosterior) -> Vec<Beta> {
-    let means = posterior.means();
-    let sds = posterior.std_devs();
-    means
-        .iter()
-        .zip(&sds)
-        .map(|(&m, &sd)| {
-            let m = m.clamp(1e-6, 1.0 - 1e-6);
-            let var = (sd * sd).max(1e-12);
-            let max_var = m * (1.0 - m) * 0.999;
-            let var = var.min(max_var);
-            let k = m * (1.0 - m) / var - 1.0;
-            Beta::new((m * k).max(1e-6), ((1.0 - m) * k).max(1e-6))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,19 +409,6 @@ mod tests {
         // Beta(1,1): mean 1/2, sd sqrt(1/12) ≈ 0.2887.
         assert!((post.means()[0] - 0.5).abs() < 0.02);
         assert!((post.std_devs()[0] - (1.0f64 / 12.0).sqrt()).abs() < 0.02);
-    }
-
-    #[test]
-    fn moment_matched_betas_are_valid() {
-        let post = EdgePosterior {
-            parents: vec![n(0), n(1)],
-            samples: vec![vec![0.2, 0.9], vec![0.25, 0.85], vec![0.3, 0.8]],
-            acceptance_rate: 0.5,
-        };
-        let betas = moment_matched_betas(&post);
-        assert_eq!(betas.len(), 2);
-        assert!((betas[0].mean() - 0.25).abs() < 0.01);
-        assert!((betas[1].mean() - 0.85).abs() < 0.01);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod fixtures;
 pub mod goyal;
 pub mod graph_train;
 pub mod joint_bayes;
-pub mod predictive;
 pub mod saito;
 pub mod summary;
 pub mod synthetic;
@@ -41,6 +40,5 @@ pub mod synthetic;
 pub use goyal::goyal_credit;
 pub use graph_train::{train_graph, LearnedEdges, Learner};
 pub use joint_bayes::{EdgePosterior, JointBayes, JointBayesConfig};
-pub use predictive::{posterior_predictive_check, PredictiveCheck};
 pub use saito::{saito_em, SaitoConfig, TimingAssumption};
 pub use summary::{filtered_betas, Episode, SinkSummary, SinkTables, SummaryRow};

@@ -78,11 +78,6 @@ impl Episode {
         &self.activations
     }
 
-    /// The latest activation time in the episode (`None` if empty).
-    pub fn last_time(&self) -> Option<u32> {
-        self.activations.iter().map(|&(_, t)| t).max()
-    }
-
     /// Number of active nodes.
     pub fn active_count(&self) -> usize {
         self.activations.len()
@@ -151,6 +146,7 @@ fn sort_rows(rows: &mut [SummaryRow]) {
 #[derive(Clone, Debug, Default)]
 struct Pending {
     /// Found in one hash lookup, however many rows the table has.
+    // flow-analyze: allow(L2: drained into the rows and sorted before use, so its iteration order never reaches output)
     rows: std::collections::HashMap<BitSet, (u64, u64)>,
     ch: BitSet,
 }
@@ -505,32 +501,6 @@ impl SinkSummary {
         }
         acc
     }
-
-    /// Log-likelihood restricted to the ambiguous rows (`|J| > 1`).
-    /// Combined with a Beta prior built from the unambiguous rows this
-    /// is exactly the full posterior under a uniform prior, because an
-    /// unambiguous row's Binomial likelihood *is* a Beta kernel in the
-    /// single parent's probability.
-    pub fn ln_likelihood_ambiguous(&self, probs: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for row in self.rows.iter().filter(|r| !r.is_unambiguous()) {
-            let p = self.characteristic_probability(row, probs);
-            acc += ln_choose(row.count, row.leaks);
-            acc += ln_term(row.leaks, p) + ln_term(row.count - row.leaks, 1.0 - p);
-            // flow-analyze: allow(L3: -inf is an exact absorbing sentinel from ln_term)
-            if acc == f64::NEG_INFINITY {
-                return acc;
-            }
-        }
-        acc
-    }
-
-    /// Indices of rows whose characteristic includes parent `b`.
-    pub fn rows_with_parent(&self, b: usize) -> Vec<usize> {
-        (0..self.rows.len())
-            .filter(|&i| self.rows[i].characteristic.get(b))
-            .collect()
-    }
 }
 
 fn ln_term(count: u64, p: f64) -> f64 {
@@ -581,9 +551,7 @@ mod tests {
         assert_eq!(ep.activation_time(n(0)), Some(0));
         assert_eq!(ep.activation_time(n(1)), None);
         assert!(ep.is_active(n(2)));
-        assert_eq!(ep.last_time(), Some(3));
         assert_eq!(ep.active_count(), 2);
-        assert_eq!(Episode::default().last_time(), None);
     }
 
     #[test]
@@ -761,32 +729,6 @@ mod tests {
         assert_eq!(s.ln_likelihood(&[0.0]), f64::NEG_INFINITY);
         assert_eq!(s.ln_likelihood(&[1.0]), f64::NEG_INFINITY);
         assert!(s.ln_likelihood(&[0.5]).is_finite());
-    }
-
-    #[test]
-    fn ambiguous_likelihood_excludes_unambiguous_rows() {
-        let parents = vec![n(0), n(1)];
-        let rows = vec![
-            SummaryRow {
-                characteristic: BitSet::from_indices(2, [0]),
-                count: 10,
-                leaks: 3,
-            },
-            SummaryRow {
-                characteristic: BitSet::from_indices(2, [0, 1]),
-                count: 4,
-                leaks: 2,
-            },
-        ];
-        let s = SinkSummary::from_rows(n(9), parents, rows);
-        // Varying p0 with the ambiguous row fixed: full likelihood
-        // changes through both rows, ambiguous-only through one.
-        let full_delta = s.ln_likelihood(&[0.6, 0.5]) - s.ln_likelihood(&[0.4, 0.5]);
-        let amb_delta =
-            s.ln_likelihood_ambiguous(&[0.6, 0.5]) - s.ln_likelihood_ambiguous(&[0.4, 0.5]);
-        assert!((full_delta - amb_delta).abs() > 1e-6);
-        assert_eq!(s.rows_with_parent(1), vec![1]);
-        assert_eq!(s.rows_with_parent(0), vec![0, 1]);
     }
 
     #[test]

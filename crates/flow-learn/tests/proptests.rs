@@ -127,6 +127,5 @@ proptest! {
         let k = s.parents.len();
         let interior = vec![0.5; k];
         prop_assert!(s.ln_likelihood(&interior).is_finite());
-        prop_assert!(s.ln_likelihood_ambiguous(&interior).is_finite());
     }
 }

@@ -171,11 +171,6 @@ pub struct WindowedCounter {
 }
 
 impl WindowedCounter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `delta` to the total and the open window.
     pub fn add(&mut self, delta: u64) {
         self.total += delta;
@@ -677,7 +672,7 @@ mod tests {
 
     #[test]
     fn windows_roll_and_retain_a_bounded_history() {
-        let mut c = WindowedCounter::new();
+        let mut c = WindowedCounter::default();
         for w in 0..12u64 {
             c.add(w + 1);
             c.roll();

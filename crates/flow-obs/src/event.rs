@@ -12,8 +12,6 @@ use std::fmt;
 pub enum FieldValue {
     /// Unsigned integer payload (counts, sizes, indices).
     U64(u64),
-    /// Signed integer payload.
-    I64(i64),
     /// Floating-point payload (rates, estimates, means).
     F64(f64),
     /// Boolean payload.
@@ -27,7 +25,6 @@ impl FieldValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             FieldValue::U64(v) => Some(*v as f64),
-            FieldValue::I64(v) => Some(*v as f64),
             FieldValue::F64(v) => Some(*v),
             FieldValue::Bool(_) | FieldValue::Str(_) => None,
         }
@@ -54,7 +51,6 @@ impl fmt::Display for FieldValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FieldValue::U64(v) => write!(f, "{v}"),
-            FieldValue::I64(v) => write!(f, "{v}"),
             FieldValue::F64(v) => write!(f, "{v}"),
             FieldValue::Bool(v) => write!(f, "{v}"),
             FieldValue::Str(v) => write!(f, "{v}"),
@@ -119,12 +115,6 @@ impl Event {
     /// Appends an unsigned-integer field.
     pub fn u64(mut self, key: &'static str, value: u64) -> Self {
         self.fields.push((key, FieldValue::U64(value)));
-        self
-    }
-
-    /// Appends a signed-integer field.
-    pub fn i64(mut self, key: &'static str, value: i64) -> Self {
-        self.fields.push((key, FieldValue::I64(value)));
         self
     }
 

@@ -124,13 +124,7 @@ pub fn timing(name: &'static str, nanos: u64) {
 /// [`ChainContext`], if any).
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    Span::new(name, None, None)
-}
-
-/// Opens a chain-scoped RAII phase span at an explicit `(chain, step)`.
-#[inline]
-pub fn chain_span(name: &'static str, chain: u64, step: u64) -> Span {
-    Span::new(name, Some(chain), Some(step))
+    Span::new(name)
 }
 
 #[cfg(test)]
@@ -256,7 +250,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let _r = ScopedRecorder::install(sink.clone());
         {
-            let _s = chain_span("mcmc.burn_in", 1, 500);
+            let _s = span("mcmc.burn_in");
         }
         let enters = sink.events_named("span.enter");
         let exits = sink.events_named("span.exit");
@@ -266,9 +260,6 @@ mod tests {
             enters[0].field("span").and_then(FieldValue::as_str),
             Some("mcmc.burn_in")
         );
-        assert_eq!(enters[0].chain, Some(1));
-        assert_eq!(enters[0].step, Some(500));
-        assert_eq!(exits[0].chain, Some(1));
         assert_eq!(sink.snapshot().quantiles["mcmc.burn_in"].count, 1);
     }
 

@@ -213,9 +213,6 @@ fn push_json_value(s: &mut String, v: &FieldValue) {
         FieldValue::U64(v) => {
             let _ = write!(s, "{v}");
         }
-        FieldValue::I64(v) => {
-            let _ = write!(s, "{v}");
-        }
         FieldValue::F64(v) => {
             if v.is_finite() {
                 // `{}` is the shortest round-trip form: deterministic

@@ -344,11 +344,6 @@ impl ServeEngine {
         }
     }
 
-    /// The engine's circuit breaker (read-only; for tests/telemetry).
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
     /// The engine's cache (e.g. for persistence).
     pub fn cache(&self) -> &ServeCache {
         &self.cache

@@ -84,22 +84,6 @@ pub fn brier_interval<R: Rng + ?Sized>(
     bootstrap_interval(pairs, crate::metrics::brier_score, replicates, level, rng)
 }
 
-/// Bootstrap interval for the normalised likelihood of a pair set.
-pub fn normalized_likelihood_interval<R: Rng + ?Sized>(
-    pairs: &[PredictionOutcome],
-    replicates: usize,
-    level: f64,
-    rng: &mut R,
-) -> Option<BootstrapInterval> {
-    bootstrap_interval(
-        pairs,
-        crate::metrics::normalized_likelihood,
-        replicates,
-        level,
-        rng,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +152,6 @@ mod tests {
     fn empty_data_yields_none() {
         let mut rng = StdRng::seed_from_u64(7);
         assert!(brier_interval(&[], 100, 0.95, &mut rng).is_none());
-        assert!(normalized_likelihood_interval(&[], 100, 0.95, &mut rng).is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * `Normal` — the Gaussian per-edge approximation of Fig. 10 and the
 //!   Box–Muller source for Gamma sampling.
 
-use crate::specfn::{betainc_inv, betainc_reg, erf, ln_beta, ln_choose};
+use crate::specfn::{betainc_inv, betainc_reg, ln_beta, ln_choose};
 use rand::Rng;
 
 /// The Beta(α, β) distribution on `[0, 1]`.
@@ -108,20 +108,6 @@ impl Beta {
         self.variance().sqrt()
     }
 
-    /// Mode, defined for α, β > 1.
-    pub fn mode(&self) -> Option<f64> {
-        if self.alpha > 1.0 && self.beta > 1.0 {
-            Some((self.alpha - 1.0) / (self.alpha + self.beta - 2.0))
-        } else {
-            None
-        }
-    }
-
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.ln_pdf(x).exp()
-    }
-
     /// Log-density at `x` (−∞ outside the open support where undefined).
     pub fn ln_pdf(&self, x: f64) -> f64 {
         if !(0.0..=1.0).contains(&x) {
@@ -201,11 +187,6 @@ impl Gamma {
         Gamma { shape, scale }
     }
 
-    /// Shape parameter.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
     /// Mean kθ.
     pub fn mean(&self) -> f64 {
         self.shape * self.scale
@@ -274,25 +255,6 @@ impl Normal {
         self.std_dev
     }
 
-    /// Density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.std_dev <= 0.0 {
-            // flow-analyze: allow(L3: point mass at the exact mean is the degenerate-pdf definition)
-            return if x == self.mean { f64::INFINITY } else { 0.0 };
-        }
-        let z = (x - self.mean) / self.std_dev;
-        (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.std_dev <= 0.0 {
-            return if x >= self.mean { 1.0 } else { 0.0 };
-        }
-        let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
-        0.5 * (1.0 + erf(z))
-    }
-
     /// Draws a sample (polar Box–Muller).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.mean + self.std_dev * sample_standard_normal(rng)
@@ -326,16 +288,6 @@ impl Binomial {
         Binomial { n, p }
     }
 
-    /// Number of trials.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Mean np.
     pub fn mean(&self) -> f64 {
         self.n as f64 * self.p
@@ -361,11 +313,6 @@ impl Binomial {
             return if k == self.n { 0.0 } else { f64::NEG_INFINITY };
         }
         ln_choose(self.n, k) + k as f64 * self.p.ln() + (self.n - k) as f64 * (1.0 - self.p).ln()
-    }
-
-    /// Probability mass at `k`.
-    pub fn pmf(&self, k: u64) -> f64 {
-        self.ln_pmf(k).exp()
     }
 
     /// Draws a sample as a sum of Bernoulli trials.
@@ -401,8 +348,6 @@ mod tests {
         let b = Beta::new(16.0, 4.0);
         assert_close(b.mean(), 0.8, 1e-12);
         assert_close(b.variance(), 16.0 * 4.0 / (400.0 * 21.0), 1e-12);
-        assert_close(b.mode().unwrap(), 15.0 / 18.0, 1e-12);
-        assert!(Beta::new(1.0, 1.0).mode().is_none());
     }
 
     #[test]
@@ -422,7 +367,7 @@ mod tests {
         for i in 0..=n {
             let x = i as f64 / n as f64;
             let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-            acc += w * b.pdf(x);
+            acc += w * b.ln_pdf(x).exp();
         }
         acc /= n as f64;
         assert_close(acc, 1.0, 1e-6);
@@ -443,7 +388,7 @@ mod tests {
     fn beta_uniform_special_case() {
         let u = Beta::uniform();
         assert_close(u.cdf(0.37), 0.37, 1e-12);
-        assert_close(u.pdf(0.5), 1.0, 1e-12);
+        assert_close(u.ln_pdf(0.5).exp(), 1.0, 1e-12);
         assert_close(u.quantile(0.9), 0.9, 1e-9);
     }
 
@@ -495,25 +440,8 @@ mod tests {
     }
 
     #[test]
-    fn normal_cdf_reference() {
-        let n = Normal::new(0.0, 1.0);
-        assert_close(n.cdf(0.0), 0.5, 1e-12);
-        assert_close(n.cdf(1.959_963_984_540_054), 0.975, 1e-9);
-        assert_close(n.cdf(-1.0), 0.158_655_253_931_457_07, 1e-9);
-        let shifted = Normal::new(2.0, 3.0);
-        assert_close(shifted.cdf(2.0), 0.5, 1e-12);
-        assert_close(
-            shifted.pdf(2.0),
-            1.0 / (3.0 * (2.0 * std::f64::consts::PI).sqrt()),
-            1e-12,
-        );
-    }
-
-    #[test]
     fn normal_degenerate_point_mass() {
         let d = Normal::new(0.7, 0.0);
-        assert_eq!(d.cdf(0.6), 0.0);
-        assert_eq!(d.cdf(0.7), 1.0);
         let mut rng = StdRng::seed_from_u64(13);
         assert_eq!(d.sample(&mut rng), 0.7);
     }
@@ -539,7 +467,7 @@ mod tests {
     #[test]
     fn binomial_pmf_sums_to_one() {
         let b = Binomial::new(30, 0.37);
-        let total: f64 = (0..=30).map(|k| b.pmf(k)).sum();
+        let total: f64 = (0..=30).map(|k| b.ln_pmf(k).exp()).sum();
         assert_close(total, 1.0, 1e-12);
         assert_eq!(b.ln_pmf(31), f64::NEG_INFINITY);
     }
@@ -547,11 +475,11 @@ mod tests {
     #[test]
     fn binomial_degenerate_p() {
         let zero = Binomial::new(10, 0.0);
-        assert_eq!(zero.pmf(0), 1.0);
-        assert_eq!(zero.pmf(1), 0.0);
+        assert_eq!(zero.ln_pmf(0).exp(), 1.0);
+        assert_eq!(zero.ln_pmf(1).exp(), 0.0);
         let one = Binomial::new(10, 1.0);
-        assert_eq!(one.pmf(10), 1.0);
-        assert_eq!(one.pmf(9), 0.0);
+        assert_eq!(one.ln_pmf(10).exp(), 1.0);
+        assert_eq!(one.ln_pmf(9).exp(), 0.0);
     }
 
     #[test]
@@ -572,8 +500,8 @@ mod tests {
     #[test]
     fn binomial_pmf_matches_direct_computation() {
         let b = Binomial::new(5, 0.5);
-        assert_close(b.pmf(2), 10.0 / 32.0, 1e-12);
-        assert_close(b.pmf(0), 1.0 / 32.0, 1e-12);
+        assert_close(b.ln_pmf(2).exp(), 10.0 / 32.0, 1e-12);
+        assert_close(b.ln_pmf(0).exp(), 1.0 / 32.0, 1e-12);
     }
 }
 
@@ -595,11 +523,6 @@ impl Exponential {
         Exponential { rate }
     }
 
-    /// Rate parameter λ.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Mean 1/λ.
     pub fn mean(&self) -> f64 {
         1.0 / self.rate
@@ -608,30 +531,6 @@ impl Exponential {
     /// Variance 1/λ².
     pub fn variance(&self) -> f64 {
         1.0 / (self.rate * self.rate)
-    }
-
-    /// Density at `x` (0 for negative `x`).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            1.0 - (-self.rate * x).exp()
-        }
-    }
-
-    /// Quantile function at probability `p`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..1.0).contains(&p), "p must lie in [0,1)");
-        -(1.0 - p).ln() / self.rate
     }
 
     /// Draws a sample by inversion.
@@ -648,22 +547,10 @@ mod exponential_tests {
     use rand::SeedableRng;
 
     #[test]
-    fn moments_and_cdf() {
+    fn moments() {
         let e = Exponential::new(2.0);
         assert!((e.mean() - 0.5).abs() < 1e-12);
         assert!((e.variance() - 0.25).abs() < 1e-12);
-        assert!((e.cdf(0.5) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        assert_eq!(e.cdf(-1.0), 0.0);
-        assert_eq!(e.pdf(-1.0), 0.0);
-        assert!((e.pdf(0.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        let e = Exponential::new(0.7);
-        for &p in &[0.1, 0.5, 0.9, 0.99] {
-            assert!((e.cdf(e.quantile(p)) - p).abs() < 1e-12);
-        }
     }
 
     #[test]

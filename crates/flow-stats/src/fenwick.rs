@@ -22,7 +22,7 @@ use rand::Rng;
 ///
 /// let mut tree = WeightTree::new(&[1.0, 0.0, 3.0]);
 /// assert_eq!(tree.total(), 4.0);
-/// tree.update(1, 2.0);          // O(log m)
+/// tree.try_update(1, 2.0).unwrap(); // O(log m)
 /// assert_eq!(tree.total(), 6.0);
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let i = tree.sample(&mut rng).unwrap();  // O(log m), ∝ weight
@@ -95,20 +95,9 @@ impl WeightTree {
         self.prefix_sum(self.weights.len())
     }
 
-    /// Sets leaf `i` to weight `w` in `O(log m)`.
-    ///
-    /// Panics on a bad weight; use [`WeightTree::try_update`] at
-    /// boundaries where corrupt weights are survivable.
-    pub fn update(&mut self, i: usize, w: f64) {
-        if let Err(e) = self.try_update(i, w) {
-            // flow-analyze: allow(L1: documented panicking wrapper over try_update)
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible point update: rejects NaN/infinite/negative weights
-    /// and out-of-range indices with a typed error, leaving the tree
-    /// unchanged.
+    /// Sets leaf `i` to weight `w` in `O(log m)`. Rejects
+    /// NaN/infinite/negative weights and out-of-range indices with a
+    /// typed error, leaving the tree unchanged.
     pub fn try_update(&mut self, i: usize, w: f64) -> FlowResult<()> {
         let w = fault::poison("weight_tree.update", w);
         if !(w >= 0.0 && w.is_finite()) {
@@ -245,7 +234,7 @@ impl WeightTree {
         for i in 0..self.weights.len() {
             let mut idx = i + 1;
             let w = self.weights[i];
-            // Propagate like `update` but from a clean slate: add w at
+            // Propagate like `try_update` but from a clean slate: add w at
             // every ancestor.
             while idx < self.tree.len() {
                 self.tree[idx] += w;
@@ -276,10 +265,10 @@ mod tests {
     #[test]
     fn update_changes_total() {
         let mut t = WeightTree::new(&[1.0, 1.0, 1.0]);
-        t.update(1, 5.0);
+        t.try_update(1, 5.0).unwrap();
         assert!((t.total() - 7.0).abs() < 1e-12);
         assert_eq!(t.get(1), 5.0);
-        t.update(1, 0.0);
+        t.try_update(1, 0.0).unwrap();
         assert!((t.total() - 2.0).abs() < 1e-12);
     }
 
@@ -328,8 +317,8 @@ mod tests {
         // Hammer updates to accumulate drift.
         for i in 0..64 {
             for _ in 0..1000 {
-                t.update(i, 0.3);
-                t.update(i, 0.1);
+                t.try_update(i, 0.3).unwrap();
+                t.try_update(i, 0.1).unwrap();
             }
         }
         t.rebuild();
@@ -414,7 +403,7 @@ mod tests {
                 rng.random::<f64>() * 3.0
             };
             weights[i] = w;
-            t.update(i, w);
+            t.try_update(i, w).unwrap();
         }
         let total: f64 = weights.iter().sum();
         assert!((t.total() - total).abs() < 1e-9);

@@ -5,8 +5,8 @@
 //!
 //! * [`specfn`] — log-gamma (Lanczos), the regularized incomplete beta
 //!   function and its inverse (Lentz continued fractions + safeguarded
-//!   Newton), `erf`, and log-binomial coefficients. These back every
-//!   cdf/quantile below.
+//!   Newton), and log-binomial coefficients. These back the Beta
+//!   cdf/quantile and the likelihoods below.
 //! * [`dist`] — the [`Beta`](dist::Beta) distribution (the betaICM edge
 //!   posterior and the bucket experiment's empirical confidence
 //!   intervals), [`Gamma`](dist::Gamma) (Marsaglia–Tsang sampling, used

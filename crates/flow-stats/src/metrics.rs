@@ -100,19 +100,6 @@ pub fn rmse(estimates: &[f64], truth: &[f64]) -> Option<f64> {
     Some((sum / estimates.len() as f64).sqrt())
 }
 
-/// Mean absolute error between two equal-length slices.
-pub fn mae(estimates: &[f64], truth: &[f64]) -> Option<f64> {
-    if estimates.is_empty() || estimates.len() != truth.len() {
-        return None;
-    }
-    let sum: f64 = estimates
-        .iter()
-        .zip(truth)
-        .map(|(e, t)| (e - t).abs())
-        .sum();
-    Some(sum / estimates.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +148,6 @@ mod tests {
         assert_eq!(brier_score(&[]), None);
         assert_eq!(rmse(&[], &[]), None);
         assert_eq!(rmse(&[1.0], &[]), None);
-        assert_eq!(mae(&[], &[]), None);
     }
 
     #[test]
@@ -174,13 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_mae_reference() {
+    fn rmse_reference() {
         let est = [0.1, 0.5, 0.9];
         let truth = [0.2, 0.5, 0.5];
         let want_rmse = ((0.01 + 0.0 + 0.16) / 3.0f64).sqrt();
         assert!((rmse(&est, &truth).unwrap() - want_rmse).abs() < 1e-12);
-        let want_mae = (0.1 + 0.0 + 0.4) / 3.0;
-        assert!((mae(&est, &truth).unwrap() - want_mae).abs() < 1e-12);
         assert_eq!(rmse(&est, &truth[..2]), None);
     }
 

@@ -165,70 +165,6 @@ pub fn betainc_inv(a: f64, b: f64, p: f64) -> f64 {
     x
 }
 
-/// Error function `erf(x)`, via the regularized incomplete gamma
-/// relationship, accurate to ~1e-13.
-pub fn erf(x: f64) -> f64 {
-    // flow-analyze: allow(L3: erf(±0) = ±0 is an exact identity shortcut)
-    if x == 0.0 {
-        return 0.0;
-    }
-    let sign = x.signum();
-    let v = gamma_p(0.5, x * x);
-    sign * v
-}
-
-/// Regularized lower incomplete gamma `P(a, x)`.
-///
-/// Series expansion for `x < a + 1`, continued fraction otherwise.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && x >= 0.0);
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        // Series representation.
-        let mut ap = a;
-        let mut sum = 1.0 / a;
-        let mut del = sum;
-        for _ in 0..500 {
-            ap += 1.0;
-            del *= x / ap;
-            sum += del;
-            if del.abs() < sum.abs() * 1e-16 {
-                break;
-            }
-        }
-        (sum * (-x + a * x.ln() - ln_gamma(a)).exp()).min(1.0)
-    } else {
-        // Continued fraction for Q(a, x) = 1 - P(a, x), Lentz method.
-        const TINY: f64 = 1e-300;
-        let mut b = x + 1.0 - a;
-        let mut c = 1.0 / TINY;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < TINY {
-                d = TINY;
-            }
-            c = b + an / c;
-            if c.abs() < TINY {
-                c = TINY;
-            }
-            d = 1.0 / d;
-            let del = d * c;
-            h *= del;
-            if (del - 1.0).abs() < 1e-16 {
-                break;
-            }
-        }
-        let q = (-x + a * x.ln() - ln_gamma(a)).exp() * h;
-        (1.0 - q).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,30 +250,6 @@ mod tests {
         }
         assert_eq!(betainc_inv(2.0, 3.0, 0.0), 0.0);
         assert_eq!(betainc_inv(2.0, 3.0, 1.0), 1.0);
-    }
-
-    #[test]
-    fn erf_reference_values() {
-        assert_close(erf(0.0), 0.0, 1e-15);
-        assert_close(erf(1.0), 0.842_700_792_949_714_9, 1e-10);
-        assert_close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10);
-        assert_close(erf(2.0), 0.995_322_265_018_952_7, 1e-10);
-        assert_close(erf(0.5), 0.520_499_877_813_046_5, 1e-10);
-        assert!(erf(6.0) > 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn gamma_p_monotone_and_bounds() {
-        let mut last = 0.0;
-        for i in 1..60 {
-            let x = i as f64 * 0.25;
-            let v = gamma_p(3.0, x);
-            assert!((0.0..=1.0).contains(&v));
-            assert!(v >= last, "P(a,x) must be nondecreasing in x");
-            last = v;
-        }
-        // P(1, x) = 1 - exp(-x)
-        assert_close(gamma_p(1.0, 0.7), 1.0 - (-0.7f64).exp(), 1e-12);
     }
 
     #[test]

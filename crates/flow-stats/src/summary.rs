@@ -62,15 +62,6 @@ impl OnlineStats {
         }
     }
 
-    /// Unbiased sample variance (`/(n−1)`); 0 with fewer than two.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -145,11 +136,6 @@ impl Histogram {
         }
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Index of the bin an observation falls into (clamped to range).
     pub fn bin_of(&self, x: f64) -> usize {
         let span = self.hi - self.lo;
@@ -205,7 +191,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }

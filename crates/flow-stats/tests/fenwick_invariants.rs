@@ -23,7 +23,7 @@ proptest! {
                 tree.rebuild();
             } else {
                 let i = raw_index % shadow.len();
-                tree.update(i, weight);
+                tree.try_update(i, weight).unwrap();
                 shadow[i] = weight;
             }
             prop_assert!(
@@ -68,8 +68,8 @@ fn armed_tripwire_catches_corruption_on_next_update() {
     let result = std::panic::catch_unwind(|| {
         let mut tree = WeightTree::new(&[1.0, 2.0, 3.0, 4.0]);
         tree.corrupt_tree_node_for_tests(2, 5.0);
-        // try_update audits the whole tree after applying the delta.
-        tree.update(0, 1.5);
+        // The update audits the whole tree after applying the delta.
+        tree.try_update(0, 1.5).unwrap();
     });
     let err = result.expect_err("armed debug_check must panic on a corrupted tree");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -87,6 +87,6 @@ fn armed_tripwire_catches_corruption_on_next_update() {
 fn unarmed_hot_path_stays_silent_but_checker_detects() {
     let mut tree = WeightTree::new(&[1.0, 2.0, 3.0, 4.0]);
     tree.corrupt_tree_node_for_tests(2, 5.0);
-    tree.update(0, 1.5);
+    tree.try_update(0, 1.5).unwrap();
     assert!(tree.check_consistency().is_err());
 }

@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn binomial_pmf_normalizes(n in 0u64..200, p in 0.0f64..=1.0) {
         let d = Binomial::new(n, p);
-        let total: f64 = (0..=n).map(|k| d.pmf(k)).sum();
+        let total: f64 = (0..=n).map(|k| d.ln_pmf(k).exp()).sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
     }
 
@@ -93,7 +93,7 @@ proptest! {
         for (idx, w) in ops {
             let i = idx % weights.len();
             weights[i] = w;
-            tree.update(i, w);
+            tree.try_update(i, w).unwrap();
         }
         let total: f64 = weights.iter().sum();
         prop_assert!((tree.total() - total).abs() < 1e-9);

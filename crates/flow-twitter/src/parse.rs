@@ -25,11 +25,6 @@ pub struct ParsedTweet {
 }
 
 impl ParsedTweet {
-    /// True iff the text carried retweet syntax.
-    pub fn is_retweet(&self) -> bool {
-        !self.chain.is_empty()
-    }
-
     /// The handle this tweet was directly retweeted from, if any.
     pub fn direct_parent(&self) -> Option<&str> {
         self.chain.first().map(|s| s.as_str())
@@ -91,7 +86,6 @@ mod tests {
     #[test]
     fn original_tweet() {
         let p = parse_tweet("just some words");
-        assert!(!p.is_retweet());
         assert_eq!(p.body, "just some words");
         assert!(p.hashtags.is_empty());
         assert!(p.urls.is_empty());
@@ -140,7 +134,7 @@ mod tests {
     #[test]
     fn mention_mid_text_is_not_a_chain() {
         let p = parse_tweet("shout out to @bob: you rock");
-        assert!(!p.is_retweet());
+        assert!(p.chain.is_empty());
         assert_eq!(p.body, "shout out to @bob: you rock");
     }
 
