@@ -84,24 +84,6 @@ impl BitSet {
         *w & mask != 0
     }
 
-    /// Overwrites bit `i` with the `i`-th value of `bits`, in ascending
-    /// index order, packing one word at a time: no allocation and no
-    /// per-bit branch beyond the iterator's own. Indices past the end
-    /// of `bits` are cleared; values past `len()` are never pulled.
-    pub fn assign_from<I: IntoIterator<Item = bool>>(&mut self, bits: I) {
-        let mut bits = bits.into_iter();
-        let mut remaining = self.len;
-        for word in &mut self.words {
-            let n = remaining.min(WORD_BITS);
-            let mut acc = 0u64;
-            for j in 0..n {
-                acc |= u64::from(bits.next().unwrap_or(false)) << j;
-            }
-            *word = acc;
-            remaining -= n;
-        }
-    }
-
     /// Clears all bits.
     pub fn clear(&mut self) {
         for w in &mut self.words {
@@ -237,19 +219,6 @@ mod tests {
         assert!(s.flip(1));
         assert!(s.get(1));
         assert_eq!(s.count_ones(), 4);
-    }
-
-    #[test]
-    fn assign_from_overwrites_every_bit_and_keeps_the_tail_clear() {
-        let mut s = BitSet::from_indices(130, 0..130);
-        s.assign_from((0..200).map(|i| i % 3 == 0));
-        assert_eq!(
-            s,
-            BitSet::from_indices(130, (0..130).filter(|i| i % 3 == 0))
-        );
-        // A short iterator clears the rest.
-        s.assign_from([true, false, true]);
-        assert_eq!(s, BitSet::from_indices(130, [0, 2]));
     }
 
     #[test]
