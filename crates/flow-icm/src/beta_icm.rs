@@ -16,10 +16,29 @@ use rand::Rng;
 /// A graph with one Beta distribution per edge — a probability
 /// distribution over point-probability ICMs.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct BetaIcm {
     graph: DiGraph,
     params: Vec<Beta>,
+}
+
+/// Loads the `graph` and `params` fields, each Beta through
+/// [`Beta::try_new`], and rejects a file without exactly one Beta per
+/// edge.
+#[cfg(feature = "serde")]
+impl serde::Deserialize for BetaIcm {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let graph: DiGraph = serde::field(v, "graph")?;
+        let params: Vec<Beta> = serde::field(v, "params")?;
+        if params.len() != graph.edge_count() {
+            return Err(serde::Error::msg(format!(
+                "{} Beta parameters for {} edges",
+                params.len(),
+                graph.edge_count()
+            )));
+        }
+        Ok(BetaIcm { graph, params })
+    }
 }
 
 impl BetaIcm {

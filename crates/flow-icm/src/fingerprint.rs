@@ -12,19 +12,25 @@ use flow_core::Fnv64;
 /// the exact bit pattern of every activation probability. Cache entries
 /// carry this as their model version; any retraining that changes a
 /// single probability ulp invalidates them.
+///
+/// The hash is computed at most once per model value and kept in it
+/// (cleared by [`Icm::set_probability`]), so serving can key every
+/// query on it without rehashing the model.
 pub fn model_fingerprint(icm: &Icm) -> u64 {
-    let g = icm.graph();
-    let mut h = Fnv64::new()
-        .u64(g.node_count() as u64)
-        .u64(g.edge_count() as u64);
-    for e in g.edges() {
-        let (u, v) = g.endpoints(e);
-        h = h
-            .u64(u64::from(u.0))
-            .u64(u64::from(v.0))
-            .u64(icm.probability(e).to_bits());
-    }
-    h.finish()
+    *icm.fingerprint.get_or_init(|| {
+        let g = icm.graph();
+        let mut h = Fnv64::new()
+            .u64(g.node_count() as u64)
+            .u64(g.edge_count() as u64);
+        for e in g.edges() {
+            let (u, v) = g.endpoints(e);
+            h = h
+                .u64(u64::from(u.0))
+                .u64(u64::from(v.0))
+                .u64(icm.probability(e).to_bits());
+        }
+        h.finish()
+    })
 }
 
 #[cfg(test)]
@@ -46,6 +52,17 @@ mod tests {
         let a = Icm::new(graph_from_edges(3, &[(0, 1), (1, 2)]), vec![0.5, 0.5]);
         let b = Icm::new(graph_from_edges(3, &[(0, 1), (0, 2)]), vec![0.5, 0.5]);
         assert_ne!(model_fingerprint(&a), model_fingerprint(&b));
+    }
+
+    #[test]
+    fn set_probability_refreshes_the_kept_fingerprint() {
+        let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
+        let mut icm = Icm::new(g.clone(), vec![0.5, 0.5]);
+        let before = model_fingerprint(&icm);
+        icm.set_probability(flow_graph::EdgeId(1), 0.25);
+        let fresh = Icm::new(g, vec![0.5, 0.25]);
+        assert_ne!(model_fingerprint(&icm), before);
+        assert_eq!(model_fingerprint(&icm), model_fingerprint(&fresh));
     }
 
     #[test]

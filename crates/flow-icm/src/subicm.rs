@@ -21,7 +21,6 @@ use flow_graph::{EdgeId, GraphBuilder};
 #[derive(Clone, Debug)]
 pub struct SubIcm {
     icm: Icm,
-    fingerprint: u64,
 }
 
 impl SubIcm {
@@ -57,9 +56,9 @@ impl SubIcm {
             builder.add_edge(u, v)?;
             probs.push(parent.probability(e));
         }
-        let icm = Icm::try_new(builder.build(), probs)?;
-        let fingerprint = model_fingerprint(&icm);
-        Ok(SubIcm { icm, fingerprint })
+        Ok(SubIcm {
+            icm: Icm::try_new(builder.build(), probs)?,
+        })
     }
 
     /// The projected model (same node-id space as the parent).
@@ -76,10 +75,11 @@ impl SubIcm {
 
     /// Fingerprint of the projected model — what per-shard cache
     /// entries key on, so an epoch that leaves this shard's
-    /// probabilities untouched leaves its cache valid.
+    /// probabilities untouched leaves its cache valid. The projected
+    /// model keeps it once computed.
     #[inline]
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        model_fingerprint(&self.icm)
     }
 }
 

@@ -29,10 +29,20 @@ use rand::Rng;
 /// assert!((b.cdf(b.quantile(0.9)) - 0.9).abs() < 1e-9);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Beta {
     alpha: f64,
     beta: f64,
+}
+
+/// Loads the `alpha` and `beta` fields through [`Beta::try_new`], so a
+/// file cannot hold a non-positive or non-finite parameter.
+#[cfg(feature = "serde")]
+impl serde::Deserialize for Beta {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Beta::try_new(serde::field(v, "alpha")?, serde::field(v, "beta")?)
+            .map_err(|e| serde::Error::msg(e.to_string()))
+    }
 }
 
 impl Beta {

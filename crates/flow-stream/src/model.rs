@@ -36,10 +36,10 @@ pub struct StreamModel {
     epoch: u64,
     /// Where the ingest stood when the last applied epoch sealed.
     mark: IngestMark,
-    /// The model as served and its fingerprint, rebuilt whenever the
-    /// statistics change (construction and [`Self::apply`]).
+    /// The model as served, rebuilt whenever the statistics change
+    /// (construction and [`Self::apply`]); it keeps its fingerprint
+    /// once computed.
     served: Icm,
-    served_fingerprint: u64,
 }
 
 /// The point-probability model served to queries: per edge, the
@@ -118,10 +118,8 @@ impl StreamModel {
         replay: &[EpochDelta],
     ) -> Self {
         fold(&mut beta, &mut tables, replay);
-        let served = serve(&beta, tables.summaries());
         StreamModel {
-            served_fingerprint: model_fingerprint(&served),
-            served,
+            served: serve(&beta, tables.summaries()),
             beta,
             tables,
             epoch: epoch + replay.len() as u64,
@@ -182,7 +180,6 @@ impl StreamModel {
         self.epoch += deltas.len() as u64;
         self.mark = last.mark;
         self.served = serve(&self.beta, self.tables.summaries());
-        self.served_fingerprint = model_fingerprint(&self.served);
         Ok(())
     }
 
@@ -200,7 +197,7 @@ impl StreamModel {
 
     /// Fingerprint of the model *as served*: what cache keys embed.
     pub fn serve_fingerprint(&self) -> u64 {
-        self.served_fingerprint
+        model_fingerprint(&self.served)
     }
 
     /// Fingerprint of the full learning state (posteriors, tables,

@@ -76,3 +76,28 @@ fn evidence_roundtrips_through_json() {
         );
     }
 }
+
+#[test]
+fn model_files_load_through_the_validating_constructors() {
+    let g = infoflow::graph::graph::graph_from_edges(3, &[(0, 1), (1, 2)]);
+    let json = serde_json::to_string(&Icm::new(g.clone(), vec![0.5, 0.4])).unwrap();
+    assert!(json.contains("\"probs\":[0.5,0.4]"), "{json}");
+    assert!(serde_json::from_str::<Icm>(&json).is_ok());
+    // An out-of-range probability, and one probability for two edges.
+    for probs in ["[1.5,0.4]", "[0.5]"] {
+        let bad = json.replace("[0.5,0.4]", probs);
+        assert!(serde_json::from_str::<Icm>(&bad).is_err(), "{bad}");
+    }
+
+    let beta = BetaIcm::uniform_prior(g);
+    let json = serde_json::to_string(&beta).unwrap();
+    let one = "{\"alpha\":1,\"beta\":1}";
+    assert!(json.contains(&format!("[{one},{one}]")), "{json}");
+    assert!(serde_json::from_str::<BetaIcm>(&json).is_ok());
+    // A non-positive parameter, and one Beta for two edges.
+    let negative = "{\"alpha\":-1,\"beta\":1}";
+    for params in [format!("[{negative},{one}]"), format!("[{one}]")] {
+        let bad = json.replace(&format!("[{one},{one}]"), &params);
+        assert!(serde_json::from_str::<BetaIcm>(&bad).is_err(), "{bad}");
+    }
+}
