@@ -1,15 +1,17 @@
 //! `bench_sampler` — the observability overhead baseline and the
 //! paper's §IV-C sampler timing.
 //!
-//! Produces `BENCH_sampler.json` (schema `flow-bench/sampler-v3`, path
+//! Produces `BENCH_sampler.json` (schema `flow-bench/sampler-v4`, path
 //! overridable as the first CLI argument): sampler steps/sec and
 //! parallel-estimator wall time with the flow-obs recorder disabled vs
 //! enabled, plus a micro-benchmark of the disabled fast path (one
 //! relaxed atomic load per call). Its `section_iv_c` holds the two
 //! quantities §IV-C reports at about 6K users and 14K edges (0.13 ms
 //! per chain update, 27 ms per output sample) measured on
-//! [`flow_bench::twitter_scale_icm`], and the cost of one update as the
-//! model grows from 500 to 128 000 edges. Three hard acceptance gates
+//! [`flow_bench::twitter_scale_icm`], the cost of one update as the
+//! model grows from 500 to 128 000 edges, and over the same models the
+//! cost of one exact-kernel sample: one independence step plus one
+//! reach-set search from a rotating source. Four hard acceptance gates
 //! (exit 1):
 //!
 //! * the **enabled**-recorder slowdown of the sampler hot loop stays
@@ -24,7 +26,14 @@
 //! * the **disabled**-recorder overhead stays under 5% of step time;
 //! * an update at 128 000 edges costs at most 8x one at 500 edges. The
 //!   Fenwick-tree proposal makes an update `O(log m)`, 2-3x over this
-//!   256x range of `m`; an `O(m)` update would cost 256x.
+//!   256x range of `m`; an `O(m)` update would cost 256x;
+//! * an exact sample at 128 000 edges costs at most 8x one at 500
+//!   edges. A step draws one key and the search reads only the coins of
+//!   the edges it reaches, so only clearing the search's visited set
+//!   grows with the model; a step that redrew every edge cost about
+//!   270x over this range.
+//!
+//! v4 added the exact-kernel sweep and its gate.
 //!
 //! Since v2 the schema separates *counted increments* per step (logical
 //! telemetry, ~2/step, unchanged by batching) from *dispatched
@@ -67,22 +76,23 @@ const MICRO_CALLS: u64 = 20_000_000;
 const STEP_BATCH: usize = 10_000;
 /// MH steps per output sample in the §IV-C timing.
 const OUTPUT_THIN: usize = 200;
-/// Edge counts of the §IV-C update-scaling sweep.
+/// Edge counts of the §IV-C update and exact-sample scaling sweeps.
 const SCALING_EDGES: [usize; 5] = [500, 2_000, 8_000, 32_000, 128_000];
-/// Timed window per §IV-C measurement: its seven windows add about two
-/// seconds to the run.
+/// Timed window per §IV-C measurement: its twelve windows add about
+/// three seconds to the run.
 const SECTION_IV_C_WINDOW_SECS: f64 = 0.25;
 
-/// Runs `batch` on a warmed-up sampler over `icm` until `window_secs`
-/// have passed, returning (batches/sec, batches run).
+/// Runs `batch` on a warmed-up `kind` sampler over `icm` until
+/// `window_secs` have passed, returning (batches/sec, batches run).
 fn sampler_throughput(
     icm: &Icm,
+    kind: ProposalKind,
     seed: u64,
     window_secs: f64,
     mut batch: impl FnMut(&mut PseudoStateSampler<'_>, &mut StdRng),
 ) -> (f64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sampler = PseudoStateSampler::new(icm, ProposalKind::ResultingActivity, &mut rng);
+    let mut sampler = PseudoStateSampler::new(icm, kind, &mut rng);
     sampler.run(20_000, &mut rng); // warm-up: tree caches, branch predictors
     let start = Instant::now();
     let mut batches: u64 = 0;
@@ -99,13 +109,41 @@ fn sampler_throughput(
 /// Chain updates on `icm` in `run()` batches of [`STEP_BATCH`], timed
 /// over `window_secs`: (steps/sec, steps run).
 fn steps_per_sec(icm: &Icm, seed: u64, window_secs: f64) -> (f64, u64) {
-    let (batches_per_sec, batches) = sampler_throughput(icm, seed, window_secs, |sampler, rng| {
-        sampler.run(STEP_BATCH, rng)
-    });
+    let (batches_per_sec, batches) = sampler_throughput(
+        icm,
+        ProposalKind::ResultingActivity,
+        seed,
+        window_secs,
+        |sampler, rng| sampler.run(STEP_BATCH, rng),
+    );
     (
         batches_per_sec * STEP_BATCH as f64,
         batches * STEP_BATCH as u64,
     )
+}
+
+/// Nanoseconds per exact-kernel sample on `icm`: one independence step
+/// and one reach-set search, from sources rotating over every node.
+/// The reach set is only passed to `black_box`: counting its bits is
+/// `O(n)` on its own.
+fn exact_ns_per_sample(icm: &Icm, seed: u64, window_secs: f64) -> f64 {
+    let n = icm.node_count() as u32;
+    let mut source = 0u32;
+    let (batches_per_sec, _) = sampler_throughput(
+        icm,
+        ProposalKind::Independent,
+        seed,
+        window_secs,
+        |sampler, rng| {
+            for _ in 0..STEP_BATCH {
+                sampler.step(rng);
+                std::hint::black_box(sampler.reach_set(&[NodeId(source)]));
+                source = (source + 1) % n;
+            }
+            sampler.flush_obs_counters();
+        },
+    );
+    1e9 / (batches_per_sec * STEP_BATCH as f64)
 }
 
 /// The median of an odd-length sample.
@@ -271,27 +309,44 @@ fn main() {
     eprintln!("[5/6] disabled fast-path micro-benchmark ...");
     let ns_per_call = disabled_ns_per_call();
 
-    eprintln!("[6/6] §IV-C: updates and output samples at 6K/14K, update scaling ...");
+    eprintln!(
+        "[6/6] §IV-C: updates and output samples at 6K/14K, update and exact-sample scaling ..."
+    );
     let twitter_icm = twitter_scale_icm(1);
     let twitter_sink = NodeId((twitter_icm.node_count() - 1) as u32);
     let us_per_update = 1e6 / steps_per_sec(&twitter_icm, 2, SECTION_IV_C_WINDOW_SECS).0;
-    let (samples_per_sec, _) =
-        sampler_throughput(&twitter_icm, 2, SECTION_IV_C_WINDOW_SECS, |sampler, rng| {
+    let (samples_per_sec, _) = sampler_throughput(
+        &twitter_icm,
+        ProposalKind::ResultingActivity,
+        2,
+        SECTION_IV_C_WINDOW_SECS,
+        |sampler, rng| {
             sampler.run(OUTPUT_THIN, rng);
             std::hint::black_box(sampler.carries_flow(NodeId(0), twitter_sink));
-        });
+        },
+    );
     let us_per_output_sample = 1e6 / samples_per_sec;
-    let scaling_ns: Vec<f64> = SCALING_EDGES
+    let (scaling_ns, exact_ns): (Vec<f64>, Vec<f64>) = SCALING_EDGES
         .iter()
-        .map(|&m| 1e9 / steps_per_sec(&scaling_icm(m, 3), 4, SECTION_IV_C_WINDOW_SECS).0)
-        .collect();
-    let scaling_ratio = scaling_ns[SCALING_EDGES.len() - 1] / scaling_ns[0];
-    let scaling_by_edges = SCALING_EDGES
-        .iter()
-        .zip(&scaling_ns)
-        .map(|(m, ns)| format!("\"{m}\": {ns:.1}"))
-        .collect::<Vec<_>>()
-        .join(", ");
+        .map(|&m| {
+            let icm = scaling_icm(m, 3);
+            (
+                1e9 / steps_per_sec(&icm, 4, SECTION_IV_C_WINDOW_SECS).0,
+                exact_ns_per_sample(&icm, 5, SECTION_IV_C_WINDOW_SECS),
+            )
+        })
+        .unzip();
+    let last = SCALING_EDGES.len() - 1;
+    let scaling_ratio = scaling_ns[last] / scaling_ns[0];
+    let exact_ratio = exact_ns[last] / exact_ns[0];
+    let by_edges = |ns: &[f64]| {
+        SCALING_EDGES
+            .iter()
+            .zip(ns)
+            .map(|(m, ns)| format!("\"{m}\": {ns:.1}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
 
     // Disabled overhead: cost of one disabled call times the dispatch
     // rate, as a fraction of step time. With batched counters the
@@ -304,7 +359,7 @@ fn main() {
     const SCALING_BUDGET_RATIO: f64 = 8.0;
 
     let json = format!(
-        "{{\n  \"bench\": \"sampler\",\n  \"schema\": \"{schema}\",\n  \"throughput_edges\": {te},\n  \"sampler\": {{\n    \"steps_per_sec_disabled\": {sd:.0},\n    \"steps_per_sec_enabled\": {se:.0},\n    \"steps_timed_disabled\": {std},\n    \"steps_timed_enabled\": {ste},\n    \"enabled_slowdown_pct\": {esp:.2},\n    \"enabled_budget_pct\": {eb},\n    \"enabled_within_budget\": {ewb}\n  }},\n  \"counters\": {{\n    \"counted_increments_per_step\": {cis:.3},\n    \"dispatched_calls_per_step\": {dcs:.5}\n  }},\n  \"parallel_estimator\": {{\n    \"edges\": {pe},\n    \"chains\": {pc},\n    \"samples_per_chain\": {ps},\n    \"wall_ms_disabled\": {pd:.1},\n    \"wall_ms_enabled\": {pen:.1}\n  }},\n  \"disabled_path\": {{\n    \"ns_per_call\": {nc:.3},\n    \"overhead_pct\": {dop:.4},\n    \"budget_pct\": {db},\n    \"within_budget\": {wb}\n  }},\n  \"section_iv_c\": {{\n    \"nodes\": {tn},\n    \"edges\": {tm},\n    \"us_per_update\": {upu:.3},\n    \"thin\": {thin},\n    \"us_per_output_sample\": {upo:.1},\n    \"ns_per_update_by_edges\": {{{sbe}}},\n    \"scaling_ratio\": {sr:.2},\n    \"scaling_budget_ratio\": {sbr},\n    \"scaling_within_budget\": {swb}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sampler\",\n  \"schema\": \"{schema}\",\n  \"throughput_edges\": {te},\n  \"sampler\": {{\n    \"steps_per_sec_disabled\": {sd:.0},\n    \"steps_per_sec_enabled\": {se:.0},\n    \"steps_timed_disabled\": {std},\n    \"steps_timed_enabled\": {ste},\n    \"enabled_slowdown_pct\": {esp:.2},\n    \"enabled_budget_pct\": {eb},\n    \"enabled_within_budget\": {ewb}\n  }},\n  \"counters\": {{\n    \"counted_increments_per_step\": {cis:.3},\n    \"dispatched_calls_per_step\": {dcs:.5}\n  }},\n  \"parallel_estimator\": {{\n    \"edges\": {pe},\n    \"chains\": {pc},\n    \"samples_per_chain\": {ps},\n    \"wall_ms_disabled\": {pd:.1},\n    \"wall_ms_enabled\": {pen:.1}\n  }},\n  \"disabled_path\": {{\n    \"ns_per_call\": {nc:.3},\n    \"overhead_pct\": {dop:.4},\n    \"budget_pct\": {db},\n    \"within_budget\": {wb}\n  }},\n  \"section_iv_c\": {{\n    \"nodes\": {tn},\n    \"edges\": {tm},\n    \"us_per_update\": {upu:.3},\n    \"thin\": {thin},\n    \"us_per_output_sample\": {upo:.1},\n    \"ns_per_update_by_edges\": {{{sbe}}},\n    \"scaling_ratio\": {sr:.2},\n    \"scaling_budget_ratio\": {sbr},\n    \"scaling_within_budget\": {swb},\n    \"exact_ns_per_sample_by_edges\": {{{ebe}}},\n    \"exact_scaling_ratio\": {er:.2},\n    \"exact_scaling_within_budget\": {ewb2}\n  }}\n}}\n",
         schema = flow_core::schema::BENCH_SAMPLER.tag(),
         te = THROUGHPUT_EDGES,
         sd = sps_disabled,
@@ -330,10 +385,13 @@ fn main() {
         upu = us_per_update,
         thin = OUTPUT_THIN,
         upo = us_per_output_sample,
-        sbe = scaling_by_edges,
+        sbe = by_edges(&scaling_ns),
         sr = scaling_ratio,
         sbr = SCALING_BUDGET_RATIO,
         swb = scaling_ratio <= SCALING_BUDGET_RATIO,
+        ebe = by_edges(&exact_ns),
+        er = exact_ratio,
+        ewb2 = exact_ratio <= SCALING_BUDGET_RATIO,
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => {
@@ -361,7 +419,15 @@ fn main() {
     if scaling_ratio > SCALING_BUDGET_RATIO {
         eprintln!(
             "error: an update at {} edges costs {scaling_ratio:.2}x one at {} edges, over the {SCALING_BUDGET_RATIO}x budget",
-            SCALING_EDGES[SCALING_EDGES.len() - 1],
+            SCALING_EDGES[last],
+            SCALING_EDGES[0]
+        );
+        failed = true;
+    }
+    if exact_ratio > SCALING_BUDGET_RATIO {
+        eprintln!(
+            "error: an exact sample at {} edges costs {exact_ratio:.2}x one at {} edges, over the {SCALING_BUDGET_RATIO}x budget",
+            SCALING_EDGES[last],
             SCALING_EDGES[0]
         );
         failed = true;

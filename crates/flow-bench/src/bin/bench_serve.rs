@@ -29,14 +29,22 @@
 //!
 //! A fifth section measures sharded serving on a multi-community
 //! workload: the same single-community query mix on an unsharded
-//! engine (every exact draw redraws all `m` edges) versus a
-//! `.shards(K)` engine (each query routes to its community's shard,
-//! whose draws redraw `m/K` edges, and the shard units serve their
-//! sub-batches concurrently). Each side is the best of [`SHARD_REPS`]
-//! interleaved reps on fresh engines (best-of-5 left a 2.7x fifth
-//! percentile against the perf ratchet's 2.6x floor). The
-//! batched-throughput speedup is gated; the per-step cost ratio is
-//! reported separately, ungated.
+//! engine versus a `.shards(K)` engine, where each query routes to its
+//! community's shard and the shard units serve their sub-batches
+//! concurrently. Every query forbids one flow from its source to
+//! another reachable node of its own community, so it runs an MH chain
+//! (§III-D), and still routes to one shard. An MH chain keeps one
+//! sample per `m` steps over a multinomial of `m` edges, so a shard's
+//! chain over `m/K` edges does about `K` times less work. An
+//! unconditioned query would gain nothing here: an exact draw costs
+//! what its reach-set search touches, whatever `m`. Required flows are
+//! not used: on this model they hold with probability at most about
+//! 0.01, which leaves the two paths' answers too far apart at these
+//! sample counts. Each side is the best of [`SHARD_REPS`] interleaved
+//! reps on fresh engines (best-of-5 left a 2.7x fifth percentile
+//! against the perf ratchet's 2.6x floor). The batched-throughput
+//! speedup is gated; the per-step cost ratio is reported separately,
+//! ungated.
 //!
 //! Acceptance criteria (the binary exits non-zero when violated):
 //! batched throughput must be at least 2x naive, the warm batch must
@@ -58,7 +66,7 @@
 
 use flow_bench::{multi_community_icm, scaling_icm};
 use flow_graph::NodeId;
-use flow_icm::Icm;
+use flow_icm::{FlowCondition, Icm};
 use flow_mcmc::{FlowEstimator, McmcConfig};
 use flow_obs::{MemorySink, MultiSink, Recorder, ScopedRecorder, StatsAggregator};
 use flow_serve::{ExecutorConfig, FlowQuery, QueryOutcome, ServeCache, ServeConfig, ServeEngine};
@@ -113,8 +121,10 @@ fn query_mix(icm: &Icm) -> Vec<FlowQuery> {
 }
 
 /// Per-community flow queries whose sinks are provably reachable from
-/// the community's first node, so every query routes to exactly one
-/// shard and keeps its chain busy on both serving paths.
+/// the community's first node. Each forbids the flow to the
+/// community's last reachable node other than its sink, so every query
+/// runs an MH chain, routes to exactly one shard, and shares its chain
+/// with the community's other queries that forbid the same node.
 fn community_mix(icm: &Icm) -> Vec<FlowQuery> {
     let n_each = icm.node_count() as u32 / COMMUNITIES;
     let graph = icm.graph();
@@ -122,13 +132,22 @@ fn community_mix(icm: &Icm) -> Vec<FlowQuery> {
     for c in 0..COMMUNITIES {
         let base = NodeId(c * n_each);
         let reach = flow_graph::reachable(graph, &[base]);
-        let sinks: Vec<NodeId> = (c * n_each..(c + 1) * n_each)
+        let reached: Vec<NodeId> = (c * n_each..(c + 1) * n_each)
             .map(NodeId)
             .filter(|&v| v != base && reach.contains(v))
-            .take(COMMUNITY_SINKS)
             .collect();
-        for sink in sinks {
-            queries.push(FlowQuery::flow(base, sink));
+        for &sink in reached.iter().take(COMMUNITY_SINKS) {
+            let conditions = reached
+                .iter()
+                .rev()
+                .find(|&&v| v != sink)
+                .map(|&v| FlowCondition::forbids(base, v))
+                .into_iter()
+                .collect();
+            queries.push(FlowQuery {
+                conditions,
+                ..FlowQuery::flow(base, sink)
+            });
         }
     }
     queries
@@ -361,9 +380,9 @@ fn main() {
     let sharded_steps = sharded.stats().steps;
     let shard_n = shard_queries.len() as f64;
     let shard_speedup = flat_s / sharded_s;
-    // Wall time per chain step on each path. An exact draw redraws
-    // every edge of its (sub-)model, so this tracks the edge-count
-    // shrink, separated from the step counts themselves.
+    // Wall time per chain step on each path: an MH step samples a
+    // multinomial over its (sub-)model's edges, so this separates the
+    // per-step cost from the step counts themselves.
     let per_step_ns_flat = flat_s / flat_steps.max(1) as f64 * 1e9;
     let per_step_ns_sharded = sharded_s / sharded_steps.max(1) as f64 * 1e9;
 

@@ -89,12 +89,12 @@ pub const PERF_BASELINE: SchemaId = SchemaId::new("flow-perf/baseline", 1);
 pub const PERF_RUN: SchemaId = SchemaId::new("flow-perf/run", 1);
 
 /// `bench_serve`'s result file (`BENCH_serve.json`). v3 added the
-/// sharded section.
-pub const BENCH_SERVE: SchemaId = SchemaId::new("flow-bench/serve", 3);
+/// sharded section; v4 serves it conditioned (MH) queries.
+pub const BENCH_SERVE: SchemaId = SchemaId::new("flow-bench/serve", 4);
 
 /// `bench_sampler`'s result file (`BENCH_sampler.json`). v3 added the
-/// §IV-C section.
-pub const BENCH_SAMPLER: SchemaId = SchemaId::new("flow-bench/sampler", 3);
+/// §IV-C section; v4 its exact-kernel sweep.
+pub const BENCH_SAMPLER: SchemaId = SchemaId::new("flow-bench/sampler", 4);
 
 /// `bench_stream`'s result file (`BENCH_stream.json`).
 pub const BENCH_STREAM: SchemaId = SchemaId::new("flow-bench/stream", 1);
@@ -131,8 +131,8 @@ mod tests {
         assert_eq!(OBS_STATS.tag(), "flow-obs/stats-v1");
         assert_eq!(PERF_BASELINE.tag(), "flow-perf/baseline-v1");
         assert_eq!(PERF_RUN.tag(), "flow-perf/run-v1");
-        assert_eq!(BENCH_SERVE.tag(), "flow-bench/serve-v3");
-        assert_eq!(BENCH_SAMPLER.tag(), "flow-bench/sampler-v3");
+        assert_eq!(BENCH_SERVE.tag(), "flow-bench/serve-v4");
+        assert_eq!(BENCH_SAMPLER.tag(), "flow-bench/sampler-v4");
         assert_eq!(BENCH_STREAM.tag(), "flow-bench/stream-v1");
     }
 }
