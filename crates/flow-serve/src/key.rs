@@ -20,7 +20,8 @@
 //! * a [`model_fingerprint`] over the ICM's shape and exact edge
 //!   probability bits, versioning every entry: retrain the model and
 //!   the old cache population silently misses instead of serving stale
-//!   estimates.
+//!   estimates. The model computes it once and keeps it, so keying a
+//!   query reads it rather than rehashing every edge.
 //!
 //! Hashing is FNV-1a (64-bit): deterministic across runs and platforms,
 //! no dependency, and stable enough for an in-process cache index. Key
